@@ -6,9 +6,9 @@
 # snapshot, the bench_micro event-churn + draw-pipeline allocation audit
 # (steady state must be 0 allocs/event and 0 allocs/draw), a cache-on vs
 # cache-off comparison of the hash-dominated clean-rounds workload, and a
-# paired interleaved A/B of --batch=1 (scalar run of record) vs --batch=K
-# (lockstep batched draw pipeline) on bench_satin_detection. The A/B
-# interleaves the two modes and compares USER-time medians because this
+# paired interleaved A/B of lockstep shard width --batch=1 (the run of
+# record) vs --batch=K on bench_satin_detection. The A/B interleaves the
+# two widths and compares USER-time medians because this
 # host's wall clock drifts ±15-25% across a session — a pair measured
 # back-to-back and a median over n pairs are robust to that; two single
 # runs an hour apart are not. PR-9 adds a second paired A/B on
@@ -16,7 +16,7 @@
 # the warm-prefix COW fork backend (--branches=$FORK_BRANCHES
 # --fork-prefix=1), gated at >= 1.5x user time. PR-10 adds the fused
 # lockstep engine pass A/Bs: the gated one runs the hash-dominated
-# clean-rounds workload batched (--clean-rounds=$FUSED_ROUNDS
+# clean-rounds workload sharded (--clean-rounds=$FUSED_ROUNDS
 # --batch=$FUSED_K) with the fused pass on vs off (the PR-9 round-robin
 # baseline) and must clear 1.3x user time; an ungated info A/B measures
 # the same toggle on the event-bound bench_race_analysis duel ladder,
@@ -235,10 +235,10 @@ if [ -x "$detect" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_satin_detection
   rm -f "$on_out" "$off_out"
 fi
 
-# Paired interleaved A/B: --batch=1 (scalar per-draw oracle, the run of
-# record) vs --batch=$batch_k (lockstep batched draw pipeline). Each pair
-# runs scalar then batched back-to-back and every pair re-checks that
-# stdout is byte-identical across modes (the stream contract); medians of
+# Paired interleaved A/B of the lockstep shard width: --batch=1 (one trial
+# at a time, the run of record) vs --batch=$batch_k. Each pair runs width
+# 1 then width K back-to-back and every pair re-checks that stdout is
+# byte-identical across widths (the shard merge contract); medians of
 # USER time over the pairs absorb the host's wall-clock drift, which two
 # single runs taken minutes apart cannot.
 batch_ab="null"
@@ -261,7 +261,7 @@ if [ -x "$detect" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_satin_detection
     b_times+=("$ub")
     pair_ratio="$(awk -v a="$ua" -v b="$ub" 'BEGIN{printf "%.3f", (b > 0) ? a / b : 0}')"
     ratios+=("$pair_ratio")
-    echo "   pair $i/$ab_pairs: scalar ${ua}s  batched ${ub}s  (${pair_ratio}x)" >&2
+    echo "   pair $i/$ab_pairs: width 1 ${ua}s  width $batch_k ${ub}s  (${pair_ratio}x)" >&2
   done
   rm -f "$a_out" "$b_out"
   median() {
@@ -273,16 +273,16 @@ if [ -x "$detect" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_satin_detection
   ab_speedup="$(awk -v a="$a_med" -v b="$b_med" 'BEGIN{printf "%.2f", (b > 0) ? a / b : 0}')"
   # Two estimators: ratio-of-medians treats the 2n runs as two pools, which
   # re-admits the drift the pairing was built to cancel (an early quiet
-  # scalar run gets compared against a late noisy batched one). The median
+  # width-1 run gets compared against a late noisy width-K one). The median
   # of the per-pair ratios is the estimator the paired design motivates —
   # each ratio is drift-free because its two runs were back-to-back.
   ab_paired="$(median "${ratios[@]}")"
   a_list="$(IFS=,; echo "${a_times[*]}")"
   b_list="$(IFS=,; echo "${b_times[*]}")"
   r_list="$(IFS=,; echo "${ratios[*]}")"
-  batch_ab="$(printf '{"batch":%s,"pairs":%s,"user_s_scalar":[%s],"user_s_batched":[%s],"pair_ratios":[%s],"user_s_scalar_median":%s,"user_s_batched_median":%s,"speedup":%s,"speedup_paired":%s,"stdout_identical":true}' \
+  batch_ab="$(printf '{"batch":%s,"pairs":%s,"user_s_width1":[%s],"user_s_widthk":[%s],"pair_ratios":[%s],"user_s_width1_median":%s,"user_s_widthk_median":%s,"speedup":%s,"speedup_paired":%s,"stdout_identical":true}' \
               "$batch_k" "$ab_pairs" "$a_list" "$b_list" "$r_list" "$a_med" "$b_med" "$ab_speedup" "$ab_paired")"
-  echo "   medians: scalar ${a_med}s  batched ${b_med}s  speedup ${ab_speedup}x (median of pair ratios: ${ab_paired}x)" >&2
+  echo "   medians: width 1 ${a_med}s  width $batch_k ${b_med}s  speedup ${ab_speedup}x (median of pair ratios: ${ab_paired}x)" >&2
 fi
 
 # Paired interleaved A/B: warm-prefix COW trial forking on the spot-duel

@@ -81,7 +81,7 @@ KProber::KProber(os::RichOs& os, KProberConfig config)
   buffer_ = std::make_unique<SharedTimeBuffer>(
       os_.platform().num_cores(), os_.platform().timing().cross_core,
       os_.platform().rng().fork("kprober-buffer"), reads_per_s,
-      static_cast<int>(probed_.size()), os_.platform().config().draw_mode);
+      static_cast<int>(probed_.size()));
 }
 
 int KProber::slot_of(hw::CoreId core) const { return core; }

@@ -9,13 +9,12 @@ namespace satin::attack {
 namespace {
 
 sim::TruncatedNormalStream make_base_stream(
-    const hw::CrossCoreDelayModel& model, sim::Rng rng, int probed_cores,
-    sim::DrawMode mode) {
+    const hw::CrossCoreDelayModel& model, sim::Rng rng, int probed_cores) {
   const double s = model.magnitude_scale(probed_cores);
   return sim::TruncatedNormalStream(std::move(rng), model.base_mean_s * s,
                                     model.base_stddev_s * s,
-                                    model.base_min_s * s, model.base_max_s * s,
-                                    mode);
+                                    model.base_min_s * s,
+                                    model.base_max_s * s);
 }
 
 }  // namespace
@@ -23,7 +22,7 @@ sim::TruncatedNormalStream make_base_stream(
 SharedTimeBuffer::SharedTimeBuffer(int num_slots,
                                    hw::CrossCoreDelayModel model,
                                    sim::Rng rng, double reads_per_second,
-                                   int probed_cores, sim::DrawMode mode)
+                                   int probed_cores)
     : model_(model),
       spike_prob_per_read_(
           reads_per_second > 0.0
@@ -31,11 +30,9 @@ SharedTimeBuffer::SharedTimeBuffer(int num_slots,
               : 0.0),
       probed_cores_(probed_cores),
       // Substream forks happen in declaration order, so the split is
-      // deterministic — and identical across DrawMode (mode only selects
-      // how each stream is realized, never which draws exist).
-      base_stream_(make_base_stream(model, rng.fork("base"), probed_cores,
-                                    mode)),
-      spike_gate_(rng.fork("bernoulli"), mode),
+      // deterministic.
+      base_stream_(make_base_stream(model, rng.fork("base"), probed_cores)),
+      spike_gate_(rng.fork("bernoulli")),
       spike_rng_(rng.fork("spike")),
       last_report_(static_cast<std::size_t>(num_slots)),
       reported_(static_cast<std::size_t>(num_slots), false) {

@@ -8,12 +8,11 @@
 // base draw, occasionally a heavy-tailed spike (Poisson arrivals).
 //
 // This is the hottest stochastic consumer in the tree (~672M base draws
-// per bench_satin_detection run), so the delay draws ride the batched
+// per bench_satin_detection run), so the delay draws ride the block draw
 // pipeline (sim/rng.h): the base truncated normal and the spike-gate
-// canonicals come from dedicated forked substreams, precomputed in blocks
-// when DrawMode::kBatched. The rare spike magnitude stays a per-draw
-// scalar on its own substream in both modes. Mode changes values on no
-// read — streams are bit-identical across modes by contract.
+// canonicals come from dedicated forked substreams, precomputed in
+// blocks. The rare spike magnitude stays a per-draw Rng call on its own
+// substream.
 #pragma once
 
 #include <vector>
@@ -30,8 +29,7 @@ class SharedTimeBuffer {
   // the deployed prober (used to convert the model's spike rate per second
   // into a per-read probability). The model is captured by value.
   SharedTimeBuffer(int num_slots, hw::CrossCoreDelayModel model,
-                   sim::Rng rng, double reads_per_second, int probed_cores,
-                   sim::DrawMode mode = sim::DrawMode::kScalar);
+                   sim::Rng rng, double reads_per_second, int probed_cores);
 
   int num_slots() const { return static_cast<int>(last_report_.size()); }
 
@@ -64,7 +62,7 @@ class SharedTimeBuffer {
   // Routine visibility delay, pre-scaled by magnitude_scale(probed_cores).
   sim::TruncatedNormalStream base_stream_;
   // One canonical per read gates the spike (canonical < p, i.e.
-  // Rng::bernoulli inlined so the batched path can precompute it).
+  // Rng::bernoulli inlined so the stream can precompute it).
   sim::CanonicalStream spike_gate_;
   // Spike magnitudes are ~5e-6 per read: never worth batching.
   sim::Rng spike_rng_;

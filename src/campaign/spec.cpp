@@ -145,8 +145,8 @@ CampaignSpec parse_campaign_spec(const std::string& text,
   const JsonValue root = parse_json(text, source);
   const std::string where = "campaign";
   root.reject_unknown_keys(
-      where, {"name", "trials", "root_seed", "jobs", "shard_size", "batch",
-              "shard", "branches", "fork_prefix", "trial_timeout_s",
+      where, {"name", "trials", "root_seed", "jobs", "shard_size", "shard",
+              "branches", "fork_prefix", "trial_timeout_s",
               "max_retries", "platform", "satin", "duel", "attacker",
               "faults", "faults_reseed"});
 
@@ -170,11 +170,6 @@ CampaignSpec parse_campaign_spec(const std::string& text,
   if (const JsonValue* j = root.find("shard_size")) {
     spec.shard_size = j->as_uint("shard_size");
     if (spec.shard_size == 0) j->fail("shard_size: must be at least 1");
-  }
-  if (const JsonValue* j = root.find("batch")) {
-    const std::int64_t batch = j->as_int("batch");
-    if (batch < 1 || batch > 4096) j->fail("batch: must be in [1, 4096]");
-    spec.batch = static_cast<int>(batch);
   }
   if (const JsonValue* j = root.find("shard")) {
     const std::int64_t shard = j->as_int("shard");

@@ -1,5 +1,6 @@
 #include "fault/injector.h"
 
+#include <array>
 #include <string>
 
 #include "obs/flight/recorder.h"
@@ -55,7 +56,22 @@ void FaultInjector::note(FaultKind kind, int core) {
   SATIN_TRACE_INSTANT("fault", to_string(kind),
                       platform_.engine().now(), core, obs::kWorldNone);
   SATIN_METRIC_INC("fault.injected");
-  SATIN_METRIC_INC(std::string("fault.") + to_string(kind));
+#if SATIN_OBS_ENABLED
+  if (auto* registry = obs::metrics()) {
+    // "fault.<kind>": the name varies at run time, so intern one handle
+    // per kind up front instead of using the literal-only macro.
+    static const auto handles = [] {
+      std::array<obs::CounterHandle, kFaultKindCount> h;
+      for (int k = 0; k < kFaultKindCount; ++k) {
+        h[static_cast<std::size_t>(k)] =
+            obs::intern_metric<obs::MetricKind::kCounter>(
+                std::string("fault.") + to_string(static_cast<FaultKind>(k)));
+      }
+      return h;
+    }();
+    registry->counter(handles[static_cast<std::size_t>(kind)]).inc();
+  }
+#endif
   SATIN_LOG(kDebug) << "fault: inject " << to_string(kind)
                     << (core >= 0 ? " on core " + std::to_string(core) : "");
 }

@@ -20,7 +20,11 @@ void Core::set_online(bool online, sim::Time when) {
   online_ = online;
   SATIN_TRACE_INSTANT("hw", online ? "core_online" : "core_offline", when,
                       id_, obs::kWorldNone);
-  SATIN_METRIC_INC(online ? "hw.core_online" : "hw.core_offline");
+  if (online) {
+    SATIN_METRIC_INC("hw.core_online");
+  } else {
+    SATIN_METRIC_INC("hw.core_offline");
+  }
   SATIN_LOG(kInfo) << name() << (online ? " comes online" : " goes offline")
                    << " at " << when.to_string();
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <deque>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -35,6 +37,67 @@ std::vector<double> Histogram::default_time_buckets() {
     bounds.push_back(3.0 * base);
   }
   return bounds;
+}
+
+namespace {
+
+// Process-wide (kind, name) -> index table. Built lazily on the first
+// intern, so nothing is registered at process start.
+struct NameTable {
+  std::mutex mu;
+  std::deque<std::pair<MetricKind, std::string>> entries;  // by index
+  std::map<std::pair<MetricKind, std::string>, std::uint32_t> index;
+};
+
+NameTable& name_table() {
+  static NameTable table;
+  return table;
+}
+
+}  // namespace
+
+std::uint32_t intern_metric_index(MetricKind kind, std::string_view name) {
+  NameTable& t = name_table();
+  std::lock_guard<std::mutex> lock(t.mu);
+  auto key = std::make_pair(kind, std::string(name));
+  const auto it = t.index.find(key);
+  if (it != t.index.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(t.entries.size());
+  t.entries.push_back(key);
+  t.index.emplace(std::move(key), id);
+  return id;
+}
+
+void* MetricsRegistry::fill_slot(std::uint32_t index) {
+  MetricKind kind;
+  std::size_t interned;
+  const std::string* name;
+  {
+    NameTable& t = name_table();
+    std::lock_guard<std::mutex> lock(t.mu);
+    const auto& entry = t.entries.at(index);  // deque: stable reference
+    kind = entry.first;
+    name = &entry.second;
+    interned = t.entries.size();
+  }
+  void* metric = nullptr;
+  switch (kind) {
+    case MetricKind::kCounter:
+      metric = &counter(*name);
+      break;
+    case MetricKind::kGauge:
+      metric = &gauge(*name);
+      break;
+    case MetricKind::kHistogram:
+      metric = &histogram(*name);
+      break;
+    case MetricKind::kDigest:
+      metric = &digest(*name);
+      break;
+  }
+  if (slots_.ptrs.size() < interned) slots_.ptrs.resize(interned, nullptr);
+  slots_.ptrs[index] = metric;
+  return metric;
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {

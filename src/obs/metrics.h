@@ -9,12 +9,17 @@
 //
 // Components emit through SATIN_METRIC_* macros; with no registry
 // installed a macro is one pointer test, and -DSATIN_ENABLE_OBS=OFF
-// compiles the macros out entirely.
+// compiles the macros out entirely. Each macro call site interns its
+// name once into a process-wide table (a function-local static handle),
+// so recording indexes a per-registry slot vector instead of looking the
+// name up. Names must therefore be string literals — a runtime-chosen
+// name would pin whichever value the site saw first.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/digest.h"
@@ -82,6 +87,29 @@ class Histogram {
   sim::Accumulator acc_;
 };
 
+enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram, kDigest };
+
+// Interned (kind, name) pair. Indices are dense from 0 in first-intern
+// order, shared by every registry and thread, and stable for the process
+// lifetime. Interning creates no metric: a registry fills a handle's slot
+// on the first record through it, so a handle that never records leaves
+// no snapshot entry.
+template <MetricKind K>
+struct MetricHandle {
+  std::uint32_t index;
+};
+using CounterHandle = MetricHandle<MetricKind::kCounter>;
+using GaugeHandle = MetricHandle<MetricKind::kGauge>;
+using HistogramHandle = MetricHandle<MetricKind::kHistogram>;
+using DigestHandle = MetricHandle<MetricKind::kDigest>;
+
+// Thread-safe; takes a lock, so intern once per call site, not per event.
+std::uint32_t intern_metric_index(MetricKind kind, std::string_view name);
+template <MetricKind K>
+MetricHandle<K> intern_metric(std::string_view name) {
+  return MetricHandle<K>{intern_metric_index(K, name)};
+}
+
 class MetricsRegistry {
  public:
   // Lookup-or-create by name. References stay valid for the registry
@@ -98,6 +126,15 @@ class MetricsRegistry {
   // merge permutation-invariantly, so cross-trial aggregation is bit-exact
   // no matter how shards arrive.
   QuantileDigest& digest(const std::string& name);
+
+  // Interned-handle lookup-or-create: the same metric the name API
+  // returns for the handle's name, reached by slot index once filled.
+  Counter& counter(CounterHandle h) { return slot<Counter>(h.index); }
+  Gauge& gauge(GaugeHandle h) { return slot<Gauge>(h.index); }
+  Histogram& histogram(HistogramHandle h) { return slot<Histogram>(h.index); }
+  QuantileDigest& digest(DigestHandle h) {
+    return slot<QuantileDigest>(h.index);
+  }
 
   // Read-only lookups; null when the name was never registered.
   const Counter* find_counter(const std::string& name) const;
@@ -134,10 +171,40 @@ class MetricsRegistry {
   bool load_merge_binary(const std::string& path, std::string* error);
 
  private:
+  // Handle index -> metric in the maps below (map nodes never move).
+  // Copies and moves start empty: the pointers belong to the source's
+  // nodes, and the slow path refills a slot from the name on next use.
+  struct Slots {
+    std::vector<void*> ptrs;
+    Slots() = default;
+    Slots(const Slots&) {}
+    Slots(Slots&& other) noexcept { other.ptrs.clear(); }
+    Slots& operator=(const Slots&) {
+      ptrs.clear();
+      return *this;
+    }
+    Slots& operator=(Slots&& other) noexcept {
+      ptrs.clear();
+      other.ptrs.clear();
+      return *this;
+    }
+  };
+
+  template <typename T>
+  T& slot(std::uint32_t index) {
+    if (index < slots_.ptrs.size()) {
+      if (void* p = slots_.ptrs[index]) return *static_cast<T*>(p);
+    }
+    return *static_cast<T*>(fill_slot(index));
+  }
+  // Looks the interned name up (creating the metric) and caches it.
+  void* fill_slot(std::uint32_t index);
+
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, QuantileDigest> digests_;
+  Slots slots_;
 };
 
 // Per-thread registry the macros emit into; null disables metrics. The
@@ -161,35 +228,33 @@ inline void install_metrics(MetricsRegistry* registry) {
 
 #if SATIN_OBS_ENABLED
 
-#define SATIN_METRIC_INC(name)                                      \
-  do {                                                              \
-    if (auto* satin_obs_m_ = ::satin::obs::metrics())               \
-      satin_obs_m_->counter(name).inc();                            \
-  } while (0)
-
-#define SATIN_METRIC_ADD(name, delta)                                      \
+// `"" name ""` only compiles for a string literal (or literal-yielding
+// macro): a site's handle is interned once, so its name must be fixed.
+#define SATIN_OBS_METRIC_(kind, accessor, name, ...)                        \
   do {                                                                     \
-    if (auto* satin_obs_m_ = ::satin::obs::metrics())                      \
-      satin_obs_m_->counter(name).inc(static_cast<std::uint64_t>(delta));  \
+    if (auto* satin_obs_m_ = ::satin::obs::metrics()) {                    \
+      static const auto satin_obs_h_ =                                     \
+          ::satin::obs::intern_metric<::satin::obs::MetricKind::kind>(     \
+              "" name "");                                                 \
+      satin_obs_m_->accessor(satin_obs_h_).__VA_ARGS__;                    \
+    }                                                                      \
   } while (0)
 
-#define SATIN_METRIC_GAUGE_SET(name, value)                            \
-  do {                                                                 \
-    if (auto* satin_obs_m_ = ::satin::obs::metrics())                  \
-      satin_obs_m_->gauge(name).set(static_cast<double>(value));       \
-  } while (0)
+#define SATIN_METRIC_INC(name) SATIN_OBS_METRIC_(kCounter, counter, name, inc())
 
-#define SATIN_METRIC_OBSERVE(name, value)                               \
-  do {                                                                  \
-    if (auto* satin_obs_m_ = ::satin::obs::metrics())                   \
-      satin_obs_m_->histogram(name).observe(static_cast<double>(value)); \
-  } while (0)
+#define SATIN_METRIC_ADD(name, delta)             \
+  SATIN_OBS_METRIC_(kCounter, counter, name,      \
+                    inc(static_cast<std::uint64_t>(delta)))
 
-#define SATIN_METRIC_DIGEST_OBSERVE(name, value)                       \
-  do {                                                                 \
-    if (auto* satin_obs_m_ = ::satin::obs::metrics())                  \
-      satin_obs_m_->digest(name).observe(static_cast<double>(value));  \
-  } while (0)
+#define SATIN_METRIC_GAUGE_SET(name, value) \
+  SATIN_OBS_METRIC_(kGauge, gauge, name, set(static_cast<double>(value)))
+
+#define SATIN_METRIC_OBSERVE(name, value)           \
+  SATIN_OBS_METRIC_(kHistogram, histogram, name,    \
+                    observe(static_cast<double>(value)))
+
+#define SATIN_METRIC_DIGEST_OBSERVE(name, value) \
+  SATIN_OBS_METRIC_(kDigest, digest, name, observe(static_cast<double>(value)))
 
 #else  // !SATIN_OBS_ENABLED
 

@@ -1,5 +1,6 @@
 #include "obs/session.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -97,6 +98,22 @@ bool take_bool_flag(int& argc, char** argv, const char* key) {
   return present;
 }
 
+// A numeric flag value must parse whole, with nothing trailing: a typo
+// such as --jobs=abc or ring=64k would otherwise read as 0 or a prefix
+// and silently change the run. A bad value is fatal.
+template <typename T>
+T parse_number(const char* flag, const std::string& value) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (value.empty() || ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "obs: %s=%s is not a valid number\n", flag,
+                 value.c_str());
+    std::exit(2);
+  }
+  return out;
+}
+
 }  // namespace
 
 int ObsSession::jobs(int fallback) const {
@@ -117,30 +134,30 @@ ObsSession::ObsSession(int& argc, char** argv, std::size_t trace_capacity) {
   if (!flight_spec.empty()) {
     const std::size_t comma = flight_spec.find(",ring=");
     if (comma != std::string::npos) {
-      flight_ring_ = static_cast<std::size_t>(
-          std::strtoull(flight_spec.c_str() + comma + 6, nullptr, 10));
+      flight_ring_ =
+          parse_number<std::size_t>("ring", flight_spec.substr(comma + 6));
       flight_spec.resize(comma);
     }
     flight_path_ = flight_spec;
   }
   const std::string jobs_value = take_flag(argc, argv, "jobs");
   if (!jobs_value.empty()) {
-    jobs_ = std::atoi(jobs_value.c_str());
+    jobs_ = parse_number<int>("--jobs", jobs_value);
     if (jobs_ < 0) jobs_ = -1;  // nonsense value: behave as if absent
   }
   const std::string batch_value = take_flag(argc, argv, "batch");
   if (!batch_value.empty()) {
-    batch_ = std::atoi(batch_value.c_str());
+    batch_ = parse_number<int>("--batch", batch_value);
     if (batch_ < 1) batch_ = -1;  // nonsense value: behave as if absent
   }
   const std::string branches_value = take_flag(argc, argv, "branches");
   if (!branches_value.empty()) {
-    branches_ = std::atoi(branches_value.c_str());
+    branches_ = parse_number<int>("--branches", branches_value);
     if (branches_ < 1) branches_ = -1;  // nonsense value: behave as if absent
   }
   const std::string prefix_value = take_flag(argc, argv, "fork-prefix");
   if (!prefix_value.empty()) {
-    fork_prefix_s_ = std::atof(prefix_value.c_str());
+    fork_prefix_s_ = parse_number<double>("--fork-prefix", prefix_value);
     if (!(fork_prefix_s_ >= 0.0)) fork_prefix_s_ = 0.0;  // also rejects NaN
   }
   const std::string fused_value = take_flag(argc, argv, "fused");

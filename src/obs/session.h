@@ -57,6 +57,8 @@ class ObsSession {
   // default; ring=N keeps only the newest N records). --metrics-stable
   // omits volatile gauges (host wall time, allocator high-water marks)
   // from the metrics snapshot, so identity gates can diff it verbatim.
+  // A non-numeric or junk-suffixed value for --jobs / --batch /
+  // --branches / --fork-prefix / ring= prints a diagnostic and exits 2.
   ObsSession(int& argc, char** argv,
              std::size_t trace_capacity = 1u << 20);
   ~ObsSession();

@@ -132,10 +132,8 @@ void force_base_draw_kernels(bool on) {
 // constructor — steady-state draws never allocate (the bench_micro churn
 // gate covers this).
 
-CanonicalStream::CanonicalStream(Rng rng, DrawMode mode, std::size_t block)
-    : rng_(rng), mode_(mode), block_(block < 1 ? 1 : block) {
-  if (mode_ == DrawMode::kBatched) buf_.resize(block_);
-}
+CanonicalStream::CanonicalStream(Rng rng, std::size_t block)
+    : rng_(rng), block_(block < 1 ? 1 : block), buf_(block_) {}
 
 void CanonicalStream::refill() {
   detail::draw_kernels().canonical_block(rng_.engine(), buf_.data(), block_);
@@ -143,17 +141,13 @@ void CanonicalStream::refill() {
   pos_ = 0;
 }
 
-NormalStream::NormalStream(Rng rng, double mean, double stddev, DrawMode mode,
+NormalStream::NormalStream(Rng rng, double mean, double stddev,
                            std::size_t block)
     : rng_(rng),
       mean_(mean),
       stddev_(stddev),
-      mode_(mode),
-      block_(block < 1 ? 1 : block) {
-  if (mode_ == DrawMode::kBatched) {
-    buf_.resize(block_ + detail::kKernelChunkPairs);
-  }
-}
+      block_(block < 1 ? 1 : block),
+      buf_(block_ + detail::kKernelChunkPairs) {}
 
 void NormalStream::refill() {
   const detail::DrawKernels& k = detail::draw_kernels();
@@ -168,19 +162,14 @@ void NormalStream::refill() {
 
 TruncatedNormalStream::TruncatedNormalStream(Rng rng, double mean,
                                              double stddev, double lo,
-                                             double hi, DrawMode mode,
-                                             std::size_t block)
+                                             double hi, std::size_t block)
     : rng_(rng),
       mean_(mean),
       stddev_(stddev),
       lo_(lo),
       hi_(hi),
-      mode_(mode),
-      block_(block < 1 ? 1 : block) {
-  if (mode_ == DrawMode::kBatched) {
-    buf_.resize(block_ + detail::kKernelChunkPairs);
-  }
-}
+      block_(block < 1 ? 1 : block),
+      buf_(block_ + detail::kKernelChunkPairs) {}
 
 void TruncatedNormalStream::refill() {
   const detail::DrawKernels& k = detail::draw_kernels();
@@ -194,11 +183,8 @@ void TruncatedNormalStream::refill() {
   pos_ = 0;
 }
 
-ExponentialStream::ExponentialStream(Rng rng, double mean, DrawMode mode,
-                                     std::size_t block)
-    : rng_(rng), mean_(mean), mode_(mode), block_(block < 1 ? 1 : block) {
-  if (mode_ == DrawMode::kBatched) buf_.resize(block_);
-}
+ExponentialStream::ExponentialStream(Rng rng, double mean, std::size_t block)
+    : rng_(rng), mean_(mean), block_(block < 1 ? 1 : block), buf_(block_) {}
 
 void ExponentialStream::refill() {
   detail::draw_kernels().exponential_block(rng_.engine(), mean_, buf_.data(),
@@ -208,16 +194,12 @@ void ExponentialStream::refill() {
 }
 
 LognormalStream::LognormalStream(Rng rng, double mu, double sigma,
-                                 DrawMode mode, std::size_t block)
+                                 std::size_t block)
     : rng_(rng),
       mu_(mu),
       sigma_(sigma),
-      mode_(mode),
-      block_(block < 1 ? 1 : block) {
-  if (mode_ == DrawMode::kBatched) {
-    buf_.resize(block_ + detail::kKernelChunkPairs);
-  }
-}
+      block_(block < 1 ? 1 : block),
+      buf_(block_ + detail::kKernelChunkPairs) {}
 
 void LognormalStream::refill() {
   const detail::DrawKernels& k = detail::draw_kernels();

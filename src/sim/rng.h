@@ -126,11 +126,10 @@ class Rng {
   // this method constructed a fresh distribution per call, so the polar
   // method's cached second variate is always discarded (keeping it would
   // shift every downstream draw). The log is the in-repo fm_log (PR-8):
-  // the batched pipeline must reproduce these values lane for lane, which
-  // no libm build can promise — so the scalar oracle and the vector
-  // kernels share one log. This is the run-of-record stream;
-  // tests/sim/rng_test.cpp pins it against an independently written
-  // reference plus golden draws.
+  // the block pipeline must reproduce these values lane for lane, which
+  // no libm build can promise — so this per-draw oracle and the vector
+  // kernels share one log. tests/sim/rng_test.cpp pins it against an
+  // independently written reference plus golden draws.
   double normal(double mean, double stddev) {
     double x, y, r2;
     do {
@@ -208,20 +207,17 @@ class Rng {
 // stream order, each pair either polar-rejects (no output) or yields a
 // candidate that the truncation filter keeps or drops — which is exactly
 // the order the scalar per-draw loop consumes them in, so the block
-// outputs are bit-identical to the scalar oracle for any block size or
+// outputs are bit-identical to the per-draw oracle for any block size or
 // vector width. tests/sim/rng_test.cpp differentials every distribution
-// at block sizes {1,2,4,8,33}, including rejection-heavy tails.
+// against the per-draw Rng methods at block sizes {1,2,4,8,33,4096},
+// including rejection-heavy tails.
 //
-// DrawMode selects per consumer: kScalar is the per-draw oracle (the
-// --batch=1 run of record), kBatched the block pipeline. Both modes read
-// the same substreams, so their outputs are byte-identical by contract,
-// not by luck.
+// The streams are the only production draw path: the per-draw Rng
+// methods stay as the oracle the block kernels are tested against, and a
+// stream reads exactly the draws those methods would on the same
+// substream, so outputs equal the per-draw sequence by contract, not by
+// luck.
 // ---------------------------------------------------------------------------
-
-enum class DrawMode {
-  kScalar = 0,   // per-draw loop; differential oracle and --batch=1 path
-  kBatched = 1,  // block-kernel pipeline, bit-identical to kScalar
-};
 
 namespace detail {
 
@@ -291,14 +287,12 @@ inline constexpr std::size_t kDefaultDrawBlock = 4096;
 // Buffered single-distribution draw streams. Each owns a dedicated
 // engine (fork one per consumer per distribution): bulk precomputation is
 // only order-identical to per-draw consumption when nothing else reads
-// the stream. In kScalar mode next() is the per-draw oracle on the same
-// engine, so a consumer's draw sequence is independent of DrawMode.
+// the stream. next() yields, draw for draw, what the matching per-draw
+// Rng method would on the same engine.
 class CanonicalStream {
  public:
-  CanonicalStream(Rng rng, DrawMode mode,
-                  std::size_t block = kDefaultDrawBlock);
+  explicit CanonicalStream(Rng rng, std::size_t block = kDefaultDrawBlock);
   double next() {
-    if (mode_ == DrawMode::kScalar) return rng_.uniform();
     if (pos_ == size_) refill();
     return buf_[pos_++];
   }
@@ -306,7 +300,6 @@ class CanonicalStream {
  private:
   void refill();
   Rng rng_;
-  DrawMode mode_;
   std::size_t block_;
   std::size_t pos_ = 0, size_ = 0;
   std::vector<double> buf_;
@@ -314,10 +307,9 @@ class CanonicalStream {
 
 class NormalStream {
  public:
-  NormalStream(Rng rng, double mean, double stddev, DrawMode mode,
+  NormalStream(Rng rng, double mean, double stddev,
                std::size_t block = kDefaultDrawBlock);
   double next() {
-    if (mode_ == DrawMode::kScalar) return rng_.normal(mean_, stddev_);
     if (pos_ == size_) refill();
     return buf_[pos_++];
   }
@@ -326,7 +318,6 @@ class NormalStream {
   void refill();
   Rng rng_;
   double mean_, stddev_;
-  DrawMode mode_;
   std::size_t block_;
   std::size_t pos_ = 0, size_ = 0;
   std::vector<double> buf_;
@@ -335,12 +326,8 @@ class NormalStream {
 class TruncatedNormalStream {
  public:
   TruncatedNormalStream(Rng rng, double mean, double stddev, double lo,
-                        double hi, DrawMode mode,
-                        std::size_t block = kDefaultDrawBlock);
+                        double hi, std::size_t block = kDefaultDrawBlock);
   double next() {
-    if (mode_ == DrawMode::kScalar) {
-      return rng_.truncated_normal(mean_, stddev_, lo_, hi_);
-    }
     if (pos_ == size_) refill();
     return buf_[pos_++];
   }
@@ -349,7 +336,6 @@ class TruncatedNormalStream {
   void refill();
   Rng rng_;
   double mean_, stddev_, lo_, hi_;
-  DrawMode mode_;
   std::size_t block_;
   int misses_ = 0;
   std::size_t pos_ = 0, size_ = 0;
@@ -358,10 +344,9 @@ class TruncatedNormalStream {
 
 class ExponentialStream {
  public:
-  ExponentialStream(Rng rng, double mean, DrawMode mode,
+  ExponentialStream(Rng rng, double mean,
                     std::size_t block = kDefaultDrawBlock);
   double next() {
-    if (mode_ == DrawMode::kScalar) return rng_.exponential(mean_);
     if (pos_ == size_) refill();
     return buf_[pos_++];
   }
@@ -370,22 +355,20 @@ class ExponentialStream {
   void refill();
   Rng rng_;
   double mean_;
-  DrawMode mode_;
   std::size_t block_;
   std::size_t pos_ = 0, size_ = 0;
   std::vector<double> buf_;
 };
 
-// Precondition (batched kernel): |mu| + 12.2 * |sigma| <= 692, so that
+// Precondition (block kernel): |mu| + 12.2 * |sigma| <= 692, so that
 // sigma * N + mu stays inside fm_exp_core's window. The polar method
 // bounds |N| by sqrt(-2 ln(r2_min)) < 12.2 (r2 >= 2^-106 when nonzero),
 // so any physically meaningful parameterization qualifies.
 class LognormalStream {
  public:
-  LognormalStream(Rng rng, double mu, double sigma, DrawMode mode,
+  LognormalStream(Rng rng, double mu, double sigma,
                   std::size_t block = kDefaultDrawBlock);
   double next() {
-    if (mode_ == DrawMode::kScalar) return rng_.lognormal(mu_, sigma_);
     if (pos_ == size_) refill();
     return buf_[pos_++];
   }
@@ -394,7 +377,6 @@ class LognormalStream {
   void refill();
   Rng rng_;
   double mu_, sigma_;
-  DrawMode mode_;
   std::size_t block_;
   std::size_t pos_ = 0, size_ = 0;
   std::vector<double> buf_;

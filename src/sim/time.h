@@ -22,7 +22,7 @@ namespace time_detail {
 // the |x| < 2^63 domain the Time constructors use. Two reasons it is not
 // simply std::llround: the baseline x86-64 build emits a libm PLT call
 // for llround on every seconds-to-Time conversion (hundreds of millions
-// per bench), and the batched draw pipeline precomputes conversions in
+// per bench), and the block draw pipeline precomputes conversions in
 // vector kernels, so the rounding must be expressible in IEEE-exact
 // add/sub/compare ops that mean the same thing at every vector width.
 // tests/sim/time_test.cpp differentials this against std::llround over

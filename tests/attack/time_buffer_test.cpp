@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/stats.h"
 
 namespace satin::attack {
@@ -90,25 +92,39 @@ TEST(SharedTimeBuffer, SingleCoreProbingScalesDelaysDown) {
   EXPECT_NEAR(acc_one.mean() / acc_all.mean(), 0.25, 0.05);
 }
 
-TEST(SharedTimeBuffer, BatchedModeIsBitIdenticalToScalar) {
-  // DrawMode is a runtime knob: a batched buffer must produce the exact
-  // staleness sequence (and spike decisions) of a scalar one seeded the
-  // same way — this is the foundation of the --batch=K identity gate.
+TEST(SharedTimeBuffer, DrawsMatchPerDrawRngOracle) {
+  // The buffer's block streams must reproduce, read for read, what the
+  // per-draw Rng methods yield on the same forked substreams — the staleness
+  // sequence and every spike decision.
   const auto m = model();
-  SharedTimeBuffer scalar(6, m, sim::Rng(9), 100.0, 6,
-                          sim::DrawMode::kScalar);
-  SharedTimeBuffer batched(6, m, sim::Rng(9), 100.0, 6,
-                           sim::DrawMode::kBatched);
-  scalar.report(0, Time::zero());
-  batched.report(0, Time::zero());
+  constexpr int kProbed = 6;
+  constexpr double kReadsPerS = 100.0;
+  SharedTimeBuffer buf(6, m, sim::Rng(9), kReadsPerS, kProbed);
+  sim::Rng root(9);
+  sim::Rng base = root.fork("base");
+  sim::Rng gate = root.fork("bernoulli");
+  sim::Rng spike = root.fork("spike");
+  const double s = m.magnitude_scale(kProbed);
+  const double p = std::min(1.0, m.spike_rate_per_s / kReadsPerS);
+  std::uint64_t spikes = 0;
+  buf.report(0, Time::zero());
   for (int i = 0; i < 50'000; ++i) {
     const Time at = Time::from_us(i);
-    ASSERT_EQ(scalar.observed_staleness(0, at).ps(),
-              batched.observed_staleness(0, at).ps())
+    double delay_s = 0.35 * base.truncated_normal(
+                                m.base_mean_s * s, m.base_stddev_s * s,
+                                m.base_min_s * s, m.base_max_s * s);
+    if (gate.uniform() < p) {
+      ++spikes;
+      delay_s += std::min(m.sample_spike_seconds(spike, kProbed),
+                          m.event_spike_cap_s);
+    }
+    const Duration expected =
+        (at - Time::zero()) + Duration::from_sec_f(delay_s);
+    ASSERT_EQ(expected.ps(), buf.observed_staleness(0, at).ps())
         << "read " << i;
   }
-  EXPECT_EQ(scalar.spiked_reads(), batched.spiked_reads());
-  EXPECT_GT(scalar.spiked_reads(), 0u);  // the rare path was exercised
+  EXPECT_EQ(buf.spiked_reads(), spikes);
+  EXPECT_GT(spikes, 0u);  // the rare path was exercised
 }
 
 TEST(SharedTimeBuffer, Validation) {

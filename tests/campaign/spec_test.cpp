@@ -29,7 +29,6 @@ TEST(CampaignSpec, MinimalSpecGetsDefaults) {
   EXPECT_EQ(spec.name, "campaign");
   EXPECT_EQ(spec.jobs, 1);
   EXPECT_EQ(spec.shard_size, 1u);
-  EXPECT_EQ(spec.batch, 1);
   EXPECT_EQ(spec.max_retries, 2);
   EXPECT_TRUE(spec.faults.empty());
   EXPECT_FALSE(spec.pin_first_platform_seed);
@@ -42,7 +41,7 @@ TEST(CampaignSpec, FullSpecRoundTripsEveryKnob) {
     "root_seed": 99,
     "jobs": 4,
     "shard_size": 2,
-    "batch": 8,
+    "shard": 4,
     "trial_timeout_s": 33.5,
     "max_retries": 5,
     "platform": {"num_little": 4, "num_big": 2, "seed": 7},
@@ -58,7 +57,7 @@ TEST(CampaignSpec, FullSpecRoundTripsEveryKnob) {
   EXPECT_EQ(spec.root_seed, 99u);
   EXPECT_EQ(spec.jobs, 4);
   EXPECT_EQ(spec.shard_size, 2u);
-  EXPECT_EQ(spec.batch, 8);
+  EXPECT_EQ(spec.shard, 4);
   EXPECT_DOUBLE_EQ(spec.trial_timeout_s, 33.5);
   EXPECT_EQ(spec.max_retries, 5);
   EXPECT_TRUE(spec.pin_first_platform_seed);
@@ -114,12 +113,15 @@ TEST(CampaignSpec, OutOfRangeJobsIsAnError) {
   parse_error(R"({"trials": 1, "jobs": 1000})");
 }
 
-TEST(CampaignSpec, OutOfRangeBatchIsAnError) {
-  EXPECT_NE(parse_error(R"({"trials": 1, "batch": 0})").find("batch"),
-            std::string::npos);
-  parse_error(R"({"trials": 1, "batch": -4})");
-  parse_error(R"({"trials": 1, "batch": 5000})");
-  parse_error(R"({"trials": 1, "batch": "eight"})");
+// "batch" once selected the draw pipeline; with one draw path it has no
+// effect left, so a spec that still carries it fails like any typo.
+TEST(CampaignSpec, BatchKeyIsRejectedAsUnknown) {
+  for (const char* text : {R"({"trials": 1, "batch": 8})",
+                           R"({"trials": 1, "batch": 1})"}) {
+    const std::string what = parse_error(text);
+    EXPECT_NE(what.find("unknown key"), std::string::npos) << what;
+    EXPECT_NE(what.find("\"batch\""), std::string::npos) << what;
+  }
 }
 
 TEST(CampaignSpec, BranchesAndForkPrefixParse) {
@@ -161,7 +163,7 @@ TEST(CampaignSpec, ContentHashIgnoresRuntimeKnobs) {
   CampaignSpec b = a;
   b.jobs = 16;
   b.shard_size = 8;
-  b.batch = 8;
+  b.shard = 4;
   b.trial_timeout_s = 1.0;
   b.max_retries = 9;
   b.branches = 8;

@@ -4,10 +4,12 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/flight/audit.h"
 #include "sim/engine.h"
+#include "sim/parallel.h"
 
 namespace satin::obs {
 namespace {
@@ -192,6 +194,75 @@ TEST(ObsSessionTest, BatchFlagParsedAndStripped) {
     ObsSession session(argv.argc, argv.ptrs.data());
     EXPECT_FALSE(session.batch_requested());
     EXPECT_EQ(session.batch(7), 7);
+  }
+}
+
+// Constructs a session from `args` (argv[0] is added); the death test
+// below runs it in a child and expects the numeric-flag diagnostic.
+void make_session(std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  Argv argv(std::move(args));
+  ObsSession session(argv.argc, argv.ptrs.data());
+}
+
+TEST(ObsSessionDeathTest, NonNumericValuesExitWithADiagnostic) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string ring =
+      "--flight=" + testing::TempDir() + "session_bad_ring.bin,ring=";
+  // A prefix parse would read "abc" as 0 (--jobs=0 means all cores,
+  // ring=0 spills the full stream) and "64k" as 64, silently changing
+  // the run. Each case: argument, flag the diagnostic must name.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--jobs=abc", "--jobs"},
+      {"--jobs=3x", "--jobs"},
+      {"--jobs= 2", "--jobs"},
+      {"--batch=eight", "--batch"},
+      {"--batch=8k", "--batch"},
+      {"--branches=two", "--branches"},
+      {"--branches=4.5", "--branches"},
+      {"--fork-prefix=warm", "--fork-prefix"},
+      {"--fork-prefix=1.5s", "--fork-prefix"},
+      {"--fork-prefix= 1", "--fork-prefix"},
+      {ring + "abc", "ring="},
+      {ring + "64k", "ring="},
+      {ring, "ring="},
+      {ring + "-1", "ring="},
+  };
+  for (const auto& [arg, flag] : cases) {
+    EXPECT_EXIT(make_session({arg}), testing::ExitedWithCode(2),
+                flag + ".*not a valid number")
+        << arg;
+  }
+}
+
+TEST(ObsSessionTest, NumericFlagsParseWholeValues) {
+  const std::string path = testing::TempDir() + "session_ring_ok.bin";
+  {
+    Argv argv({"prog", "--jobs=3", "--branches=4", "--fork-prefix=0.25",
+               "--flight=" + path + ",ring=65536"});
+    ObsSession session(argv.argc, argv.ptrs.data());
+    EXPECT_EQ(session.jobs(), 3);
+    EXPECT_EQ(session.branches(), 4);
+    EXPECT_DOUBLE_EQ(session.fork_prefix_s(), 0.25);
+    EXPECT_EQ(session.flight_ring(), 65536u);
+    EXPECT_EQ(argv.argc, 1);
+  }
+  std::remove(path.c_str());
+  {
+    // --jobs=0 keeps its documented meaning: one worker per hardware
+    // thread.
+    Argv argv({"prog", "--jobs=0"});
+    ObsSession session(argv.argc, argv.ptrs.data());
+    EXPECT_TRUE(session.jobs_requested());
+    EXPECT_EQ(session.jobs(7), sim::TrialRunner::hardware_jobs());
+  }
+  {
+    // Numeric but out of range still behaves as if absent.
+    Argv argv({"prog", "--jobs=-2", "--branches=0", "--fork-prefix=-1"});
+    ObsSession session(argv.argc, argv.ptrs.data());
+    EXPECT_FALSE(session.jobs_requested());
+    EXPECT_FALSE(session.branches_requested());
+    EXPECT_EQ(session.fork_prefix_s(), 0.0);
   }
 }
 

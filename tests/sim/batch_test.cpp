@@ -2,8 +2,8 @@
 // transform over TrialRunner::run() — same submission-order result slots,
 // same merged obs, same first-error rethrow — for every shard size. The
 // duel-level test at the bottom closes the loop end-to-end: a real
-// run_duel_sweep at --batch=K (batched draw pipeline and all) must
-// reproduce the --batch=1 scalar run of record field for field.
+// run_duel_sweep at --batch=K must reproduce the --batch=1 run of record
+// field for field.
 #include "sim/batch.h"
 
 #include <gtest/gtest.h>
@@ -328,10 +328,10 @@ TEST(BatchRunner, ThrowingFactoryIsCapturedAndShardMatesStillRun) {
 
 // ---------------------------------------------------------------------------
 // End-to-end: a real duel sweep must be invariant under --batch. This is
-// the scenario-level closure of the draw-pipeline identity chain: batched
-// streams bit-match the scalar oracle (rng_test), the shared time buffer
-// bit-matches across modes (time_buffer_test), so whole DuelReports must
-// too — and the merged engine metrics with them.
+// the scenario-level closure of the identity chain: the shard runner
+// merges per-trial results in submission order and slicing is inert in
+// the engine, so whole DuelReports must match — and the merged engine
+// metrics with them.
 
 void expect_reports_equal(const scenario::DuelReport& a,
                           const scenario::DuelReport& b, std::size_t trial,
@@ -384,7 +384,7 @@ TEST(BatchRunner, DuelSweepIsInvariantUnderBatchSize) {
   ASSERT_EQ(reference.reports.size(), kTrials);
 
   // batch=3 splits the 4 trials into shards {3,1}; batch=8 puts all four
-  // in one shard. Both flip the platforms to the batched draw pipeline.
+  // in one shard.
   for (int batch : {3, 8}) {
     std::string metrics;
     const scenario::DuelSweep sweep =

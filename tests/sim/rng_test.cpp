@@ -339,46 +339,52 @@ TEST(RngDifferential, MixedDrawSequenceStaysAligned) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched pipeline differentials: a kBatched stream must equal the
-// kScalar per-draw oracle bit for bit at every block size — the batch
-// engine's byte-identity gate (--batch=K vs --batch=1) rests on this.
+// Block pipeline differentials: every stream must equal the per-draw Rng
+// method on the same substream bit for bit at every block size. The
+// streams are the only production draw path, so the run of record's
+// draw sequence rests on this.
 
 // Block sizes straddling the kernel chunk boundaries: degenerate (1),
 // small, odd (33 — forces ragged refill tails), and the default.
 const std::size_t kBlocks[] = {1, 2, 4, 8, 33, kDefaultDrawBlock};
 
-template <typename MakeStream>
-void ExpectBatchedMatchesScalar(MakeStream make, int draws) {
+// `make(rng, block)` builds the stream under test; `oracle(rng)` is one
+// per-draw Rng call with the same parameters.
+template <typename MakeStream, typename Oracle>
+void ExpectStreamMatchesOracle(std::uint64_t seed, MakeStream make,
+                               Oracle oracle, int draws) {
   for (const std::size_t block : kBlocks) {
-    auto scalar = make(DrawMode::kScalar, kDefaultDrawBlock);
-    auto batched = make(DrawMode::kBatched, block);
+    Rng direct(seed);
+    auto stream = make(Rng(seed), block);
     for (int i = 0; i < draws; ++i) {
-      ASSERT_TRUE(BitsEqual(scalar.next(), batched.next()))
+      ASSERT_TRUE(BitsEqual(oracle(direct), stream.next()))
           << "block " << block << " draw " << i;
     }
   }
 }
 
 TEST(RngBatched, CanonicalStreamMatchesScalar) {
-  ExpectBatchedMatchesScalar(
-      [](DrawMode m, std::size_t b) { return CanonicalStream(Rng(31), m, b); },
-      20000);
+  ExpectStreamMatchesOracle(
+      31, [](Rng r, std::size_t b) { return CanonicalStream(r, b); },
+      [](Rng& r) { return r.uniform(); }, 20000);
 }
 
 TEST(RngBatched, NormalStreamMatchesScalar) {
-  ExpectBatchedMatchesScalar(
-      [](DrawMode m, std::size_t b) {
-        return NormalStream(Rng(37), 1.55e-4, 3.5e-5, m, b);
-      },
-      20000);
+  ExpectStreamMatchesOracle(
+      37,
+      [](Rng r, std::size_t b) { return NormalStream(r, 1.55e-4, 3.5e-5, b); },
+      [](Rng& r) { return r.normal(1.55e-4, 3.5e-5); }, 20000);
 }
 
 TEST(RngBatched, TruncatedNormalStreamMatchesScalar) {
   // The duel's cross-core delay parameterization (modest rejection rate).
-  ExpectBatchedMatchesScalar(
-      [](DrawMode m, std::size_t b) {
-        return TruncatedNormalStream(Rng(41), 1.55e-4, 3.5e-5, 0.95e-4,
-                                     2.6e-4, m, b);
+  ExpectStreamMatchesOracle(
+      41,
+      [](Rng r, std::size_t b) {
+        return TruncatedNormalStream(r, 1.55e-4, 3.5e-5, 0.95e-4, 2.6e-4, b);
+      },
+      [](Rng& r) {
+        return r.truncated_normal(1.55e-4, 3.5e-5, 0.95e-4, 2.6e-4);
       },
       20000);
 }
@@ -386,49 +392,50 @@ TEST(RngBatched, TruncatedNormalStreamMatchesScalar) {
 TEST(RngBatched, TruncatedNormalHeavyRejectionMatchesScalar) {
   // Bounds half a sigma wide: ~62% of candidates rejected, so the carried
   // miss counter is exercised across nearly every refill.
-  ExpectBatchedMatchesScalar(
-      [](DrawMode m, std::size_t b) {
-        return TruncatedNormalStream(Rng(43), 0.0, 1.0, -0.25, 0.25, m, b);
+  ExpectStreamMatchesOracle(
+      43,
+      [](Rng r, std::size_t b) {
+        return TruncatedNormalStream(r, 0.0, 1.0, -0.25, 0.25, b);
       },
-      8000);
+      [](Rng& r) { return r.truncated_normal(0.0, 1.0, -0.25, 0.25); }, 8000);
 }
 
 TEST(RngBatched, TruncatedNormalClampFallbackMatchesScalar) {
   // Mean far outside [lo, hi]: every candidate misses, so each output is
-  // the 1024-try clamp. The batched path must count misses — not polar
-  // rejections — exactly like the scalar loop counts completed normals.
-  ExpectBatchedMatchesScalar(
-      [](DrawMode m, std::size_t b) {
-        return TruncatedNormalStream(Rng(47), 10.0, 1e-12, 0.0, 1.0, m, b);
+  // the 1024-try clamp. The block path must count misses — not polar
+  // rejections — exactly like the per-draw loop counts completed normals.
+  ExpectStreamMatchesOracle(
+      47,
+      [](Rng r, std::size_t b) {
+        return TruncatedNormalStream(r, 10.0, 1e-12, 0.0, 1.0, b);
       },
-      5);
+      [](Rng& r) { return r.truncated_normal(10.0, 1e-12, 0.0, 1.0); }, 5);
 }
 
 TEST(RngBatched, TruncatedNormalNearClampBoundaryMatchesScalar) {
   // ~8 sigma bounds: rejection is overwhelming but not total, so miss
   // runs grow long without (usually) reaching 1024 — the regime where an
   // off-by-one in the carried counter would first surface.
-  ExpectBatchedMatchesScalar(
-      [](DrawMode m, std::size_t b) {
-        return TruncatedNormalStream(Rng(53), 0.0, 1.0, 8.0, 9.0, m, b);
+  ExpectStreamMatchesOracle(
+      53,
+      [](Rng r, std::size_t b) {
+        return TruncatedNormalStream(r, 0.0, 1.0, 8.0, 9.0, b);
       },
-      3);
+      [](Rng& r) { return r.truncated_normal(0.0, 1.0, 8.0, 9.0); }, 3);
 }
 
 TEST(RngBatched, ExponentialStreamMatchesScalar) {
-  ExpectBatchedMatchesScalar(
-      [](DrawMode m, std::size_t b) {
-        return ExponentialStream(Rng(59), 3.7e-4, m, b);
-      },
-      20000);
+  ExpectStreamMatchesOracle(
+      59, [](Rng r, std::size_t b) { return ExponentialStream(r, 3.7e-4, b); },
+      [](Rng& r) { return r.exponential(3.7e-4); }, 20000);
 }
 
 TEST(RngBatched, LognormalStreamMatchesScalar) {
-  ExpectBatchedMatchesScalar(
-      [](DrawMode m, std::size_t b) {
-        return LognormalStream(Rng(61), -8.3804330961644287, 0.55, m, b);
-      },
-      20000);
+  constexpr double kMu = -8.3804330961644287;
+  ExpectStreamMatchesOracle(
+      61,
+      [](Rng r, std::size_t b) { return LognormalStream(r, kMu, 0.55, b); },
+      [](Rng& r) { return r.lognormal(kMu, 0.55); }, 20000);
 }
 
 TEST(RngBatched, DispatchedKernelsMatchBaseFlavor) {
@@ -437,9 +444,8 @@ TEST(RngBatched, DispatchedKernelsMatchBaseFlavor) {
   // tautology, and the real check runs on the wide CI host.
   std::vector<double> wide, base;
   {
-    TruncatedNormalStream s(Rng(67), 1.55e-4, 3.5e-5, 0.95e-4, 2.6e-4,
-                            DrawMode::kBatched);
-    LognormalStream l(Rng(71), -8.0, 0.55, DrawMode::kBatched);
+    TruncatedNormalStream s(Rng(67), 1.55e-4, 3.5e-5, 0.95e-4, 2.6e-4);
+    LognormalStream l(Rng(71), -8.0, 0.55);
     for (int i = 0; i < 30000; ++i) {
       wide.push_back(s.next());
       wide.push_back(l.next());
@@ -447,9 +453,8 @@ TEST(RngBatched, DispatchedKernelsMatchBaseFlavor) {
   }
   detail::force_base_draw_kernels(true);
   {
-    TruncatedNormalStream s(Rng(67), 1.55e-4, 3.5e-5, 0.95e-4, 2.6e-4,
-                            DrawMode::kBatched);
-    LognormalStream l(Rng(71), -8.0, 0.55, DrawMode::kBatched);
+    TruncatedNormalStream s(Rng(67), 1.55e-4, 3.5e-5, 0.95e-4, 2.6e-4);
+    LognormalStream l(Rng(71), -8.0, 0.55);
     for (int i = 0; i < 30000; ++i) {
       base.push_back(s.next());
       base.push_back(l.next());
@@ -459,19 +464,6 @@ TEST(RngBatched, DispatchedKernelsMatchBaseFlavor) {
   ASSERT_EQ(wide.size(), base.size());
   for (std::size_t i = 0; i < wide.size(); ++i) {
     ASSERT_TRUE(BitsEqual(wide[i], base[i])) << "draw " << i;
-  }
-}
-
-TEST(RngBatched, ScalarStreamLeavesEngineIdenticalToDirectCalls) {
-  // kScalar streams are pass-throughs: a consumer holding one behaves
-  // exactly like one calling Rng directly (same draws, same engine use).
-  Rng direct(73);
-  TruncatedNormalStream stream(Rng(73), 1.55e-4, 3.5e-5, 0.95e-4, 2.6e-4,
-                               DrawMode::kScalar);
-  for (int i = 0; i < 5000; ++i) {
-    ASSERT_TRUE(BitsEqual(
-        direct.truncated_normal(1.55e-4, 3.5e-5, 0.95e-4, 2.6e-4),
-        stream.next()));
   }
 }
 
