@@ -315,7 +315,6 @@ int main(int argc, char** argv) {
     // one-at-a-time path below for every K.
     sim::BatchRunnerOptions batch_options;
     batch_options.batch = static_cast<std::size_t>(batch);
-    batch_options.fused = obs.fused();
     batch_options.runner = duel_options;
     sim::BatchRunner duel_runner(batch_options);
     duel_runner.run(kProbeCount, [&probes, &caught, ramp_s](

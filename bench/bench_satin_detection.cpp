@@ -91,7 +91,7 @@ class CleanRoundsTrial final : public satin::sim::LockstepTrial {
     // Shadow mode keeps this bookkeeping identical with the cache off, so
     // these rows are safe to print under the on-vs-off stdout diff. The
     // pristine-base serve path counts served chunks as misses for the
-    // same reason, so they also hold across --fused=on|off.
+    // same reason, so they also hold between --batch=1 and --batch=K.
     bench::subheading("digest cache");
     bench::text_row("chunk hits", std::to_string(stats.hits));
     bench::text_row("chunk misses", std::to_string(stats.misses));
@@ -124,7 +124,8 @@ class CleanRoundsTrial final : public satin::sim::LockstepTrial {
 // sweep seeds. Because this workload is dominated by the per-replica
 // fixed costs the fused pass shares — kernel-image construction, boot
 // authorization, the first-cycle hash of every chunk — it is the
-// headline A/B for --fused=on vs off in scripts/run_benches.sh.
+// headline A/B for --batch=K against K sequential --batch=1 runs in
+// scripts/run_benches.sh.
 int run_clean_rounds(std::uint64_t target, satin::bench::ObsGuard& obs) {
   using namespace satin;
   const int batch = obs.batch(/*fallback=*/1);
@@ -133,7 +134,6 @@ int run_clean_rounds(std::uint64_t target, satin::bench::ObsGuard& obs) {
   if (batch > 1) {
     sim::BatchRunnerOptions options;
     options.batch = static_cast<std::size_t>(batch);
-    options.fused = obs.fused();
     // Match the inline loop's historical 500 ms slicing so replica 0 stops
     // on the same round boundary and prints identical rows.
     options.quantum = sim::Duration::from_ms(500);
@@ -191,10 +191,6 @@ int main(int argc, char** argv) {
   // stdout row below is byte-identical to --batch=1 (one trial at a time,
   // the run of record), which CI diffs.
   sweep_config.batch = obs.batch(/*fallback=*/1);
-  // --fused=on|off picks the engine pass for batch >= 2: fused
-  // event-frontier bursts (default) or the round-robin baseline. Output
-  // is byte-identical either way; the A/B harness flips this knob.
-  sweep_config.fused = obs.fused();
   sweep_config.flight_ring = obs.flight_ring();
   // --branches=N: COW fork branch groups (sim/fork.h). With no
   // --fork-prefix this replays each replica from scratch in a child —

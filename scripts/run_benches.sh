@@ -16,10 +16,10 @@
 # the warm-prefix COW fork backend (--branches=$FORK_BRANCHES
 # --fork-prefix=1), gated at >= 1.5x user time. PR-10 adds the fused
 # lockstep engine pass A/Bs: the gated one runs the hash-dominated
-# clean-rounds workload sharded (--clean-rounds=$FUSED_ROUNDS
-# --batch=$FUSED_K) with the fused pass on vs off (the PR-9 round-robin
-# baseline) and must clear 1.3x user time; an ungated info A/B measures
-# the same toggle on the event-bound bench_race_analysis duel ladder,
+# clean-rounds workload as one --batch=$FUSED_K shard against
+# $FUSED_K sequential --batch=1 runs (user time summed) and must clear
+# 1.3x user time; an ungated info A/B compares --batch=1 with
+# --batch=$FUSED_K on the event-bound bench_race_analysis duel ladder,
 # where the shareable per-trial cost is a small fraction of the profile
 # (see EXPERIMENTS.md for the split). Run from anywhere; builds are NOT
 # triggered here — point BUILD_DIR at an existing build (default
@@ -340,28 +340,29 @@ if [ -x "$race" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_race_analysis "* 
   echo "   medians: unforked ${a_med}s  forked ${b_med}s  speedup ${fork_speedup}x (median of pair ratios: ${fork_paired}x)" >&2
 fi
 
-# Paired interleaved A/B: the fused lockstep engine pass (PR-10) vs the
-# PR-9 round-robin shard loop, on the workload the pass targets — K
-# digest-cache steady-state replicas advancing in one shard, where the
-# shareable per-trial fixed cost (kernel image construction, boot-state
-# authorization, the first full hash cycle) dominates the per-trial
-# variable cost. --fused=off runs the identical shard WITHOUT the shared
-# kernel image / pristine digest base and without merged event frontiers,
-# so the toggle isolates exactly the fused pass. stdout must stay
+# Paired interleaved A/B: the fused lockstep engine pass (PR-10) on the
+# workload it targets — K digest-cache steady-state replicas advancing
+# in one shard, where the shareable per-trial fixed cost (kernel image
+# construction, boot-state authorization, the first full hash cycle)
+# dominates the per-trial variable cost. The A side runs K unsharded
+# --batch=1 replicas one after another (user time summed over the K
+# runs), so it pays every fixed cost K times with no shared kernel image
+# / pristine digest base and no merged event frontiers. stdout must stay
 # byte-identical every pair; the ratio-of-medians is gated at >= 1.3x.
 fused_ab="null"
 fused_pairs="${FUSED_PAIRS:-8}"
 fused_k="${FUSED_K:-8}"
 fused_rounds="${FUSED_ROUNDS:-2000}"
 if [ -x "$detect" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_satin_detection "* ]]; }; then
-  echo "== bench_satin_detection paired A/B: --clean-rounds=$fused_rounds --batch=$fused_k fused on vs off (n=$fused_pairs pairs, user-time medians)" >&2
+  echo "== bench_satin_detection paired A/B: --clean-rounds=$fused_rounds, $fused_k x --batch=1 vs --batch=$fused_k (n=$fused_pairs pairs, user-time medians)" >&2
   a_out="$(mktemp)" b_out="$(mktemp)"
   a_times=() b_times=() ratios=()
   for i in $(seq 1 "$fused_pairs"); do
-    ua="$( { TIMEFORMAT='%U'; time "$detect" "--clean-rounds=$fused_rounds" "--batch=$fused_k" --fused=off >"$a_out" 2>"$tmp_err"; } 2>&1 )"
+    # `time` on the loop reports the user time of all K children.
+    ua="$( { TIMEFORMAT='%U'; time for _ in $(seq 1 "$fused_k"); do "$detect" "--clean-rounds=$fused_rounds" --batch=1 >"$a_out" 2>"$tmp_err"; done; } 2>&1 )"
     ub="$( { TIMEFORMAT='%U'; time "$detect" "--clean-rounds=$fused_rounds" "--batch=$fused_k" >"$b_out" 2>"$tmp_err"; } 2>&1 )"
     if ! diff -q "$a_out" "$b_out" >/dev/null; then
-      echo "ERROR: stdout differs between --fused=off and --fused=on" >&2
+      echo "ERROR: stdout differs between --batch=1 and --batch=$fused_k" >&2
       diff "$a_out" "$b_out" >&2 || true
       rm -f "$a_out" "$b_out"
       exit 1
@@ -370,7 +371,7 @@ if [ -x "$detect" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_satin_detection
     b_times+=("$ub")
     pair_ratio="$(awk -v a="$ua" -v b="$ub" 'BEGIN{printf "%.3f", (b > 0) ? a / b : 0}')"
     ratios+=("$pair_ratio")
-    echo "   pair $i/$fused_pairs: round-robin ${ua}s  fused ${ub}s  (${pair_ratio}x)" >&2
+    echo "   pair $i/$fused_pairs: ${fused_k} x batch=1 ${ua}s  fused ${ub}s  (${pair_ratio}x)" >&2
   done
   rm -f "$a_out" "$b_out"
   median() {
@@ -388,26 +389,26 @@ if [ -x "$detect" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_satin_detection
   a_list="$(IFS=,; echo "${a_times[*]}")"
   b_list="$(IFS=,; echo "${b_times[*]}")"
   r_list="$(IFS=,; echo "${ratios[*]}")"
-  fused_ab="$(printf '{"batch":%s,"clean_rounds":%s,"pairs":%s,"user_s_roundrobin":[%s],"user_s_fused":[%s],"pair_ratios":[%s],"user_s_roundrobin_median":%s,"user_s_fused_median":%s,"speedup":%s,"speedup_paired":%s,"stdout_identical":true}' \
+  fused_ab="$(printf '{"batch":%s,"clean_rounds":%s,"pairs":%s,"user_s_sequential":[%s],"user_s_fused":[%s],"pair_ratios":[%s],"user_s_sequential_median":%s,"user_s_fused_median":%s,"speedup":%s,"speedup_paired":%s,"stdout_identical":true}' \
               "$fused_k" "$fused_rounds" "$fused_pairs" "$a_list" "$b_list" "$r_list" "$a_med" "$b_med" "$fused_speedup" "$fused_paired")"
-  echo "   medians: round-robin ${a_med}s  fused ${b_med}s  speedup ${fused_speedup}x (median of pair ratios: ${fused_paired}x)" >&2
+  echo "   medians: ${fused_k} x batch=1 ${a_med}s  fused ${b_med}s  speedup ${fused_speedup}x (median of pair ratios: ${fused_paired}x)" >&2
 fi
 
-# Ungated info A/B: the same fused toggle on the event-bound duel ladder.
-# Here the shared fixed cost is ~25% of a trial, so the honest expectation
-# is ~1.1-1.2x (EXPERIMENTS.md has the profile split) — recorded for
+# Ungated info A/B: --batch=1 vs the fused --batch=K shard on the same 16
+# trials of the event-bound duel ladder. Here the shared fixed cost is
+# ~25% of a trial (EXPERIMENTS.md has the profile split) — recorded for
 # provenance, never gated.
 fused_duel_ab="null"
 fused_duel_pairs="${FUSED_DUEL_PAIRS:-5}"
 if [ -x "$race" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_race_analysis "* ]]; }; then
-  echo "== bench_race_analysis info A/B: --batch=$fused_k fused on vs off (n=$fused_duel_pairs pairs, ungated)" >&2
+  echo "== bench_race_analysis info A/B: --batch=1 vs --batch=$fused_k (n=$fused_duel_pairs pairs, ungated)" >&2
   a_out="$(mktemp)" b_out="$(mktemp)"
   a_times=() b_times=() ratios=()
   for i in $(seq 1 "$fused_duel_pairs"); do
-    ua="$( { TIMEFORMAT='%U'; time "$race" "--batch=$fused_k" --fused=off >"$a_out" 2>"$tmp_err"; } 2>&1 )"
+    ua="$( { TIMEFORMAT='%U'; time "$race" --batch=1 >"$a_out" 2>"$tmp_err"; } 2>&1 )"
     ub="$( { TIMEFORMAT='%U'; time "$race" "--batch=$fused_k" >"$b_out" 2>"$tmp_err"; } 2>&1 )"
     if ! diff -q "$a_out" "$b_out" >/dev/null; then
-      echo "ERROR: stdout differs between --fused=off and --fused=on on bench_race_analysis" >&2
+      echo "ERROR: stdout differs between --batch=1 and --batch=$fused_k on bench_race_analysis" >&2
       diff "$a_out" "$b_out" >&2 || true
       rm -f "$a_out" "$b_out"
       exit 1
@@ -416,7 +417,7 @@ if [ -x "$race" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_race_analysis "* 
     b_times+=("$ub")
     pair_ratio="$(awk -v a="$ua" -v b="$ub" 'BEGIN{printf "%.3f", (b > 0) ? a / b : 0}')"
     ratios+=("$pair_ratio")
-    echo "   pair $i/$fused_duel_pairs: round-robin ${ua}s  fused ${ub}s  (${pair_ratio}x)" >&2
+    echo "   pair $i/$fused_duel_pairs: batch=1 ${ua}s  fused ${ub}s  (${pair_ratio}x)" >&2
   done
   rm -f "$a_out" "$b_out"
   median() {
@@ -430,9 +431,9 @@ if [ -x "$race" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_race_analysis "* 
   a_list="$(IFS=,; echo "${a_times[*]}")"
   b_list="$(IFS=,; echo "${b_times[*]}")"
   r_list="$(IFS=,; echo "${ratios[*]}")"
-  fused_duel_ab="$(printf '{"batch":%s,"pairs":%s,"user_s_roundrobin":[%s],"user_s_fused":[%s],"pair_ratios":[%s],"user_s_roundrobin_median":%s,"user_s_fused_median":%s,"speedup":%s,"speedup_paired":%s,"stdout_identical":true,"gated":false}' \
+  fused_duel_ab="$(printf '{"batch":%s,"pairs":%s,"user_s_width1":[%s],"user_s_fused":[%s],"pair_ratios":[%s],"user_s_width1_median":%s,"user_s_fused_median":%s,"speedup":%s,"speedup_paired":%s,"stdout_identical":true,"gated":false}' \
               "$fused_k" "$fused_duel_pairs" "$a_list" "$b_list" "$r_list" "$a_med" "$b_med" "$fused_duel_speedup" "$fused_duel_paired")"
-  echo "   medians: round-robin ${a_med}s  fused ${b_med}s  speedup ${fused_duel_speedup}x (median of pair ratios: ${fused_duel_paired}x, ungated)" >&2
+  echo "   medians: batch=1 ${a_med}s  fused ${b_med}s  speedup ${fused_duel_speedup}x (median of pair ratios: ${fused_duel_paired}x, ungated)" >&2
 fi
 
 # Engine speedup on the headline detection bench vs the auto-detected
@@ -454,8 +455,8 @@ printf '{"schema":"satin-bench-pr10/1","nproc":%s,"jobs":%s,"baseline":"%s","det
   "$(nproc)" "$jobs" "$baseline_name" "$detect_speedup" "$churn" "$cache_cmp" "$batch_ab" "$fork_ab" "$fused_ab" "$fused_duel_ab" "$rows" >"$out"
 [ "$batch_ab" = "null" ] || echo "batch A/B (--batch=1 vs --batch=$batch_k) user-time speedup: ${ab_speedup}x" >&2
 [ "$fork_ab" = "null" ] || echo "fork A/B (unforked vs --branches=$fork_branches --fork-prefix=1) user-time speedup: ${fork_speedup}x" >&2
-[ "$fused_ab" = "null" ] || echo "fused A/B (clean-rounds --batch=$fused_k, on vs off) user-time speedup: ${fused_speedup}x (gate: 1.3x)" >&2
-[ "$fused_duel_ab" = "null" ] || echo "fused duel A/B (bench_race_analysis --batch=$fused_k, on vs off) user-time speedup: ${fused_duel_speedup}x (info only)" >&2
+[ "$fused_ab" = "null" ] || echo "fused A/B (clean-rounds, $fused_k x --batch=1 vs --batch=$fused_k) user-time speedup: ${fused_speedup}x (gate: 1.3x)" >&2
+[ "$fused_duel_ab" = "null" ] || echo "fused duel A/B (bench_race_analysis --batch=1 vs --batch=$fused_k) user-time speedup: ${fused_duel_speedup}x (info only)" >&2
 echo "wrote $out" >&2
 [ "$detect_speedup" = "null" ] || echo "bench_satin_detection speedup vs $baseline_name: ${detect_speedup}x" >&2
 

@@ -211,27 +211,30 @@ bool decode_trial_record(const std::string& line, TrialResult& out,
   return true;
 }
 
-TrialResult run_campaign_trial(const CampaignSpec& spec, std::uint64_t index) {
-  const sim::TrialSeedSeq seeds(spec.root_seed);
-  const std::uint64_t seed = seeds.seed_for(index);
-
-  scenario::ScenarioConfig scenario_config = spec.scenario;
+TrialInputs derive_trial_inputs(const CampaignSpec& spec,
+                                std::uint64_t index) {
+  TrialInputs in;
+  in.seed = sim::TrialSeedSeq(spec.root_seed).seed_for(index);
+  in.scenario = spec.scenario;
   if (!(spec.pin_first_platform_seed && index == 0)) {
-    scenario_config.platform.seed = seed;
+    in.scenario.platform.seed = in.seed;
   }
-
-  std::string faults = spec.faults;
-  if (spec.faults_reseed && !faults.empty()) {
-    fault::FaultPlan plan = fault::FaultPlan::parse(faults);
-    plan.seed ^= seed;
-    faults = plan.to_string();
+  in.faults = spec.faults;
+  if (spec.faults_reseed && !in.faults.empty()) {
+    fault::FaultPlan plan = fault::FaultPlan::parse(in.faults);
+    plan.seed ^= in.seed;
+    in.faults = plan.to_string();
   }
+  return in;
+}
 
+TrialResult run_campaign_trial(const CampaignSpec& spec, std::uint64_t index) {
+  const TrialInputs in = derive_trial_inputs(spec, index);
   const scenario::SingleDuelResult duel =
-      scenario::run_single_duel(scenario_config, spec.duel, faults);
+      scenario::run_single_duel(in.scenario, spec.duel, in.faults);
   TrialResult result;
   result.index = index;
-  result.seed = seed;
+  result.seed = in.seed;
   result.report = duel.report;
   result.faults_injected = duel.faults_injected;
   return result;

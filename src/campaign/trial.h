@@ -40,14 +40,24 @@ std::string encode_trial_record(const TrialResult& result);
 bool decode_trial_record(const std::string& line, TrialResult& out,
                          std::string* error = nullptr);
 
-// Runs trial `index` of `spec` to completion in the calling thread,
-// against whatever obs sinks are installed. Derivations:
-//  * platform seed = seed_for(index), except trial 0 keeps a spec-pinned
+// Everything trial `index` of `spec` runs with, derived in one place for
+// every backend:
+//  * seed = TrialSeedSeq(root_seed).seed_for(index);
+//  * platform seed = seed, except trial 0 keeps a spec-pinned
 //    platform.seed (the run-of-record convention);
-//  * with faults_reseed, the injector seed becomes plan.seed ^ seed_for
-//    so every trial rolls its own storm, still reproducibly.
-// Throws on scenario construction or duel failure; the campaign worker
-// turns that into a crash-and-retry, never a half-recorded trial.
+//  * with faults_reseed, the injector seed becomes plan.seed ^ seed so
+//    every trial rolls its own storm, still reproducibly.
+struct TrialInputs {
+  std::uint64_t seed = 0;
+  scenario::ScenarioConfig scenario;
+  std::string faults;
+};
+TrialInputs derive_trial_inputs(const CampaignSpec& spec, std::uint64_t index);
+
+// Runs trial `index` of `spec` (inputs from derive_trial_inputs) to
+// completion in the calling thread, against whatever obs sinks are
+// installed. Throws on scenario construction or duel failure; the campaign
+// worker turns that into a crash-and-retry, never a half-recorded trial.
 TrialResult run_campaign_trial(const CampaignSpec& spec, std::uint64_t index);
 
 }  // namespace satin::campaign

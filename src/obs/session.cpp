@@ -1,6 +1,5 @@
 #include "obs/session.h"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -62,9 +61,6 @@ void snapshot_engine_metrics(const sim::Engine& engine,
   registry.gauge("engine.wall_s_per_sim_s").mark_volatile();
 }
 
-namespace {
-
-// Strips "--<key>=<value>" from argv; returns the last value seen.
 std::string take_flag(int& argc, char** argv, const char* key) {
   const std::string prefix = std::string("--") + key + "=";
   std::string value;
@@ -81,6 +77,8 @@ std::string take_flag(int& argc, char** argv, const char* key) {
   return value;
 }
 
+namespace {
+
 // Strips a bare "--<key>" switch from argv; true when it was present.
 bool take_bool_flag(int& argc, char** argv, const char* key) {
   const std::string flag = std::string("--") + key;
@@ -96,22 +94,6 @@ bool take_bool_flag(int& argc, char** argv, const char* key) {
   argv[out] = nullptr;
   argc = out;
   return present;
-}
-
-// A numeric flag value must parse whole, with nothing trailing: a typo
-// such as --jobs=abc or ring=64k would otherwise read as 0 or a prefix
-// and silently change the run. A bad value is fatal.
-template <typename T>
-T parse_number(const char* flag, const std::string& value) {
-  T out{};
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
-  if (value.empty() || ec != std::errc() || ptr != end) {
-    std::fprintf(stderr, "obs: %s=%s is not a valid number\n", flag,
-                 value.c_str());
-    std::exit(2);
-  }
-  return out;
 }
 
 }  // namespace
@@ -160,23 +142,13 @@ ObsSession::ObsSession(int& argc, char** argv, std::size_t trace_capacity) {
     fork_prefix_s_ = parse_number<double>("--fork-prefix", prefix_value);
     if (!(fork_prefix_s_ >= 0.0)) fork_prefix_s_ = 0.0;  // also rejects NaN
   }
-  const std::string fused_value = take_flag(argc, argv, "fused");
-  if (fused_value == "off") {
-    fused_ = false;
-  } else if (!fused_value.empty() && fused_value != "on") {
-    std::fprintf(stderr,
-                 "obs: --fused=%s not understood (want on|off), "
-                 "keeping default on\n",
-                 fused_value.c_str());
-  }
   const std::string cache_value = take_flag(argc, argv, "digest-cache");
   if (cache_value == "off") {
     digest_cache_ = false;
   } else if (!cache_value.empty() && cache_value != "on") {
-    std::fprintf(stderr,
-                 "obs: --digest-cache=%s not understood (want on|off), "
-                 "keeping default on\n",
+    std::fprintf(stderr, "obs: --digest-cache=%s not understood (want on|off)\n",
                  cache_value.c_str());
+    std::exit(2);
   }
   // Process-wide default read by every secure::DigestCache constructed
   // after this point (one per Introspector, i.e. per trial — workers

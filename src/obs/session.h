@@ -17,8 +17,12 @@
 // `out.json` + ".metrics.json", so one flag yields a full picture.
 #pragma once
 
+#include <charconv>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <system_error>
 
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
@@ -38,10 +42,31 @@ void snapshot_engine_metrics(const sim::Engine& engine,
                              MetricsRegistry& registry,
                              bool include_wall = true);
 
+// Strips every "--<key>=<value>" from argv (argc is rewritten); returns
+// the last value seen, "" when absent.
+std::string take_flag(int& argc, char** argv, const char* key);
+
+// A numeric flag value must parse whole, with nothing trailing: a typo
+// such as --jobs=abc or ring=64k would otherwise read as 0 or a prefix
+// and silently change the run. A bad value prints a diagnostic naming
+// `flag` and exits 2.
+template <typename T>
+T parse_number(const char* flag, const std::string& value) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (value.empty() || ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "%s=%s is not a valid number\n", flag,
+                 value.c_str());
+    std::exit(2);
+  }
+  return out;
+}
+
 class ObsSession {
  public:
   // Consumes --trace= / --metrics= / --metrics-stable / --faults= /
-  // --jobs= / --batch= / --fused= / --branches= / --fork-prefix= /
+  // --jobs= / --batch= / --branches= / --fork-prefix= /
   // --digest-cache= / --flight= from argv (argc is rewritten).
   // When no flag is present the session installs nothing and costs
   // nothing. The faults spec is only stripped and stored — the obs layer
@@ -58,7 +83,8 @@ class ObsSession {
   // omits volatile gauges (host wall time, allocator high-water marks)
   // from the metrics snapshot, so identity gates can diff it verbatim.
   // A non-numeric or junk-suffixed value for --jobs / --batch /
-  // --branches / --fork-prefix / ring= prints a diagnostic and exits 2.
+  // --branches / --fork-prefix / ring=, or a --digest-cache= value other
+  // than on|off, prints a diagnostic and exits 2.
   ObsSession(int& argc, char** argv,
              std::size_t trace_capacity = 1u << 20);
   ~ObsSession();
@@ -96,13 +122,6 @@ class ObsSession {
   // independent replay — the byte-identity oracle. Nonzero values trade
   // identity for speed and are recorded in bench provenance.
   double fork_prefix_s() const { return fork_prefix_s_; }
-  // Parsed --fused=on|off (default on): whether --batch=K shards run the
-  // fused engine pass (merged event-frontier bursts + shard-shared
-  // kernel image / pristine digest base) or the plain round-robin
-  // advance() loop. A pure runtime knob like --batch itself — output is
-  // byte-identical either way (CI-gated) — kept switchable so paired
-  // A/Bs can measure the pass against the PR-9 baseline honestly.
-  bool fused() const { return fused_; }
   const std::string& trace_path() const { return trace_path_; }
   const std::string& metrics_path() const { return metrics_path_; }
   const std::string& faults_spec() const { return faults_spec_; }
@@ -130,7 +149,6 @@ class ObsSession {
   int batch_ = -1;               // -1 = flag absent (or nonsense value)
   int branches_ = -1;            // -1 = flag absent (or nonsense value)
   double fork_prefix_s_ = 0.0;   // simulated seconds; 0 = oracle mode
-  bool fused_ = true;
   bool digest_cache_ = true;
   bool metrics_stable_ = false;
   std::unique_ptr<TraceRecorder> recorder_;

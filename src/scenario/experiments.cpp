@@ -369,13 +369,8 @@ DuelSweep run_forked_duel_sweep(
         DuelConfig duel = config.duel;
         const ScenarioConfig scenario_config =
             duel_trial_scenario_config(ctx, duel, customize);
-        Scenario scenario(scenario_config);
-        DuelReport report = run_duel(scenario, duel);
-        if (auto* registry = obs::metrics()) {
-          obs::snapshot_engine_metrics(scenario.engine(), *registry,
-                                       /*include_wall=*/false);
-        }
-        return encode_duel_report(report);
+        return encode_duel_report(
+            run_single_duel(scenario_config, duel).report);
       });
     } else {
       fork_options.inherit_sinks = true;
@@ -474,7 +469,6 @@ DuelSweep run_duel_sweep(
   if (config.batch > 1) {
     sim::BatchRunnerOptions batch_options;
     batch_options.batch = static_cast<std::size_t>(config.batch);
-    batch_options.fused = config.fused;
     batch_options.runner = options;
     sim::BatchRunner runner(batch_options);
     // Report the same effective worker clamp as the unsharded sweep:
@@ -501,15 +495,7 @@ DuelSweep run_duel_sweep(
         DuelConfig duel = config.duel;
         const ScenarioConfig scenario_config =
             duel_trial_scenario_config(ctx, duel, customize);
-        Scenario scenario(scenario_config);
-        DuelReport report = run_duel(scenario, duel);
-        // Engine self-metrics, minus host wall time: trial metrics must
-        // stay bit-identical across --jobs.
-        if (auto* registry = obs::metrics()) {
-          obs::snapshot_engine_metrics(scenario.engine(), *registry,
-                                       /*include_wall=*/false);
-        }
-        return report;
+        return run_single_duel(scenario_config, duel).report;
       });
   sweep.wall_seconds = runner.wall_seconds();
   return sweep;

@@ -191,11 +191,6 @@ struct DuelSweepConfig {
   // lockstep by sim::BatchRunner. A runtime performance knob: the sweep
   // output is byte-identical for every K (CI-gated).
   int batch = 1;
-  // Fused engine pass for batch >= 2 (--fused=on|off, default on): shard
-  // trials share one kernel image + pristine digest base and advance via
-  // merged event-frontier bursts (sim/batch.h). Byte-identical either
-  // way; off is the PR-9 round-robin baseline for paired A/Bs.
-  bool fused = true;
   // COW fork branching (--branches=N; see sim/fork.h). 0 = the in-process
   // paths above; N >= 1 groups trials into consecutive branch groups of N
   // and runs each group as fork()ed child processes. With fork_prefix_s ==

@@ -1,7 +1,6 @@
 #include "sim/batch.h"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "sim/engine.h"
@@ -24,12 +23,11 @@ int BatchRunner::jobs_for(std::size_t trials) const {
 }
 
 void BatchRunner::run(std::size_t trials, const MakeTrial& make) {
-  runner_.run_sharded(trials, options_.batch, options_.quantum, make,
-                      options_.fused);
+  runner_.run_sharded(trials, options_.batch, options_.quantum, make);
 }
 
 void run_lockstep_shard(
-    std::size_t count, Duration quantum, bool fused,
+    std::size_t count, Duration quantum,
     const std::function<std::unique_ptr<LockstepTrial>(std::size_t)>&
         make_slot,
     const std::function<void(std::size_t, const std::function<void()>&)>&
@@ -40,12 +38,8 @@ void run_lockstep_shard(
   std::vector<Engine*> engines(count, nullptr);
   std::size_t remaining = 0;
 
-  // The shared-state registry exists ONLY under the fused pass, so
-  // --fused=off reproduces the per-trial construction (and its cost)
-  // exactly — that is what makes the recorded A/B an honest comparison.
   ShardContext context;
-  std::optional<ShardContext::Scope> context_scope;
-  if (fused) context_scope.emplace(context);
+  ShardContext::Scope context_scope(context);
 
   for (std::size_t j = 0; j < count; ++j) {
     with_sinks(j, [&] {
@@ -53,7 +47,7 @@ void run_lockstep_shard(
         live[j] = make_slot(j);
         if (live[j] != nullptr) {
           ++remaining;
-          if (fused) engines[j] = live[j]->fused_engine();
+          engines[j] = live[j]->fused_engine();
         }
       } catch (...) {
         live[j].reset();

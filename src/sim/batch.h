@@ -60,12 +60,6 @@ struct BatchRunnerOptions {
   // Lockstep slice of simulated time (matches run_duel's historical 1 s
   // stride so sliced and unsliced trials run the same event sequence).
   Duration quantum = Duration::from_sec(1);
-  // Fused engine pass (--fused=on, the default): shard trials share a
-  // ShardContext (immutable kernel image + pristine digest base) and
-  // their engines advance in merged event-frontier bursts. Off reproduces
-  // the PR-8/9 round-robin advance() loop exactly — the honest A/B
-  // baseline. Byte-identity to --batch=1 holds either way.
-  bool fused = true;
   // Worker pool / seeds / per-trial sink capacities (TrialRunner
   // semantics; jobs is clamped to the shard count).
   TrialRunnerOptions runner;
@@ -73,14 +67,15 @@ struct BatchRunnerOptions {
 
 // One shard's lockstep core, shared by TrialRunner::run_sharded and the
 // campaign shard backend. Runs `count` trials to completion on the
-// calling thread: construct via make_slot, advance in quantum rounds
-// (fused lanes via merged-frontier engine bursts, stragglers via
-// advance()), finish in slot order as each turns done. `with_sinks(slot,
-// fn)` must run fn under the slot's obs sinks; `on_error(slot, error)` is
-// invoked at most once per slot, after which the slot's trial has been
-// destroyed and its shard-mates continue.
+// calling thread under one ShardContext (immutable kernel image +
+// pristine digest base shared by the shard-mates): construct via
+// make_slot, advance in quantum rounds (fused lanes via merged-frontier
+// engine bursts, stragglers via advance()), finish in slot order as each
+// turns done. `with_sinks(slot, fn)` must run fn under the slot's obs
+// sinks; `on_error(slot, error)` is invoked at most once per slot, after
+// which the slot's trial has been destroyed and its shard-mates continue.
 void run_lockstep_shard(
-    std::size_t count, Duration quantum, bool fused,
+    std::size_t count, Duration quantum,
     const std::function<std::unique_ptr<LockstepTrial>(std::size_t)>&
         make_slot,
     const std::function<void(std::size_t, const std::function<void()>&)>&

@@ -116,12 +116,10 @@ ForkServer::~ForkServer() {
 }
 
 std::string ForkServer::metrics_path_for(std::size_t branch) const {
-  if (options_.metrics_path) return options_.metrics_path(branch);
   return artifacts_dir_ + "/branch_" + std::to_string(branch) + ".met";
 }
 
 std::string ForkServer::flight_path_for(std::size_t branch) const {
-  if (options_.flight_path) return options_.flight_path(branch);
   return artifacts_dir_ + "/branch_" + std::to_string(branch) + ".flt";
 }
 
@@ -275,7 +273,7 @@ std::vector<ForkOutcome> ForkServer::run(
   if (branches == 0) return outcomes_;
   const double wall_start = now_seconds();
 
-  want_metrics_ = options_.always_metrics || obs::metrics() != nullptr;
+  want_metrics_ = obs::metrics() != nullptr;
   want_flight_ = obs::flight() != nullptr;
   if (obs::tracer() != nullptr) {
     std::fprintf(stderr,
@@ -283,9 +281,7 @@ std::vector<ForkOutcome> ForkServer::run(
                  "run unforked for --trace\n");
   }
   artifacts_dir_ = options_.scratch_dir;
-  const bool need_dir = (want_metrics_ && !options_.metrics_path) ||
-                        (want_flight_ && !options_.flight_path);
-  if (need_dir && artifacts_dir_.empty()) {
+  if ((want_metrics_ || want_flight_) && artifacts_dir_.empty()) {
     const char* tmp = std::getenv("TMPDIR");
     std::string templ =
         std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
@@ -511,7 +507,7 @@ void ForkServer::merge_obs() {
         obs::replay_flight_log(log, *flight);
       }
     }
-    if (!options_.keep_artifacts) remove_artifacts(i);
+    remove_artifacts(i);
   }
   if (!scratch_.empty()) ::rmdir(scratch_.c_str());
 }

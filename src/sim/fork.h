@@ -66,14 +66,8 @@ struct ForkServerOptions {
   // Children keep the caller-installed sinks (their COW copies already
   // hold the warm prefix's records) instead of installing fresh ones.
   bool inherit_sinks = false;
-  // Record per-branch metrics even when no registry is installed in the
-  // calling thread (the campaign always persists metrics artifacts).
-  bool always_metrics = false;
-  // Leave artifact files on disk for the caller instead of merging and
-  // deleting them (the campaign merges from its journal later).
-  bool keep_artifacts = false;
   // Artifacts directory; "" = a private mkdtemp() dir, removed after the
-  // merge. Ignored for a stream when a *_path override is set.
+  // merge.
   std::string scratch_dir;
   // Global index of branch 0 — merge markers and marker_seed use
   // index_base + branch, so a branch group embedded in a larger sweep
@@ -82,10 +76,6 @@ struct ForkServerOptions {
   // kTrialBegin payload per GLOBAL index (TrialRunner uses the trial
   // seed); null = 0.
   std::function<std::uint64_t(std::size_t)> marker_seed;
-  // Per-branch artifact path overrides (branch-local index); null = files
-  // under scratch_dir.
-  std::function<std::string(std::size_t)> metrics_path;
-  std::function<std::string(std::size_t)> flight_path;
 
   // Chaos knobs (failure-path tests; -1 = off). Each fires on the FIRST
   // attempt of the given branch only, so the retry must succeed.
@@ -122,9 +112,9 @@ class ForkServer {
 
   // Folds per-branch artifacts into the CURRENTLY installed thread sinks
   // in branch-index order, bracketed by kTrialBegin markers, then removes
-  // them (unless keep_artifacts). In inherit-sink mode call this AFTER
-  // dropping the warm-prefix TrialObsScope, so the merge targets the
-  // session sinks, not the group's.
+  // them. In inherit-sink mode call this AFTER dropping the warm-prefix
+  // TrialObsScope, so the merge targets the session sinks, not the
+  // group's.
   void merge_obs();
 
   // run() + merge_obs() + rethrow of the lowest-index branch error;
@@ -136,7 +126,7 @@ class ForkServer {
   // Host wall-clock spent inside run().
   double wall_seconds() const { return wall_seconds_; }
   // Children forked (attempts, across retries), and the failure ladder's
-  // bookkeeping — the campaign maps these onto its volatile gauges.
+  // bookkeeping.
   std::uint64_t forks() const { return forks_; }
   std::uint64_t crashes() const { return crashes_; }
   std::uint64_t timeouts() const { return timeouts_; }

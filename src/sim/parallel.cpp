@@ -166,8 +166,7 @@ void TrialRunner::run(std::size_t trials,
 void TrialRunner::run_sharded(
     std::size_t trials, std::size_t shard_size, Duration quantum,
     const std::function<std::unique_ptr<LockstepTrial>(const TrialContext&)>&
-        make,
-    bool fused) {
+        make) {
   if (trials == 0) return;
   if (shard_size < 1) shard_size = 1;
   const auto wall_start = std::chrono::steady_clock::now();
@@ -180,7 +179,7 @@ void TrialRunner::run_sharded(
     const std::size_t begin = s * shard_size;
     const std::size_t count = std::min(shard_size, trials - begin);
     run_lockstep_shard(
-        count, quantum, fused,
+        count, quantum,
         [&](std::size_t j) {
           const std::size_t i = begin + j;
           return make(TrialContext{i, seeds_.seed_for(i)});

@@ -114,15 +114,13 @@ class TrialRunner {
   // trials are grouped into consecutive shards of `shard_size`; a worker
   // claims a whole shard, constructs its trials via `make`, and advances
   // them in lockstep, one `quantum` of simulated time each round, until
-  // all finish. With `fused` (the default) the shard runs the fused
-  // engine pass: trials share a ShardContext (immutable kernel image,
-  // pristine digest base) and lanes exposing fused_engine() advance
-  // through merged event-frontier bursts, falling back to per-trial
-  // advance() for stragglers; fused=false is the plain round-robin
-  // advance() loop with no shared state (the PR-8/9 behavior). Obs sinks
-  // stay PER TRIAL — installed around every construct / advance / finish
+  // all finish. The shard runs the fused engine pass: trials share a
+  // ShardContext (immutable kernel image, pristine digest base) and lanes
+  // exposing fused_engine() advance through merged event-frontier bursts,
+  // falling back to per-trial advance() for stragglers. Obs sinks stay
+  // PER TRIAL — installed around every construct / advance / finish
   // call — and the final merge is run()'s submission-order merge, so for
-  // any shard size, fused or not, the output is byte-identical to run()
+  // any shard size the output is byte-identical to run()
   // provided each trial is insensitive to run_for slicing (event-engine
   // trials are by construction). Exceptions are captured per trial; a
   // throwing trial is destroyed (under its sinks) and its shard-mates
@@ -130,8 +128,7 @@ class TrialRunner {
   void run_sharded(
       std::size_t trials, std::size_t shard_size, Duration quantum,
       const std::function<std::unique_ptr<LockstepTrial>(const TrialContext&)>&
-          make,
-      bool fused = true);
+          make);
 
   // Host wall-clock spent inside run(), cumulative across calls, and the
   // trial throughput it implies. Host timing is intentionally NOT written

@@ -124,24 +124,18 @@ TEST(CampaignSpec, BatchKeyIsRejectedAsUnknown) {
   }
 }
 
-TEST(CampaignSpec, BranchesAndForkPrefixParse) {
-  const CampaignSpec spec = parse_campaign_spec(
-      R"({"trials": 4, "branches": 8, "fork_prefix": 0.0})", "t");
-  EXPECT_EQ(spec.branches, 8);
-  EXPECT_EQ(spec.fork_prefix, 0.0);
-  // Default: forking off, pool backend.
-  const CampaignSpec plain = parse_campaign_spec(R"({"trials": 1})", "t");
-  EXPECT_EQ(plain.branches, 0);
-  EXPECT_EQ(plain.fork_prefix, 0.0);
-}
-
-TEST(CampaignSpec, OutOfRangeBranchesIsAnError) {
-  EXPECT_NE(parse_error(R"({"trials": 1, "branches": -1})").find("branches"),
-            std::string::npos);
-  parse_error(R"({"trials": 1, "branches": 5000})");
-  parse_error(R"({"trials": 1, "branches": "four"})");
-  parse_error(R"({"trials": 1, "fork_prefix": -1.0})");
-  parse_error(R"({"trials": 1, "fork_prefix": "warm"})");
+// "branches" / "fork_prefix" once selected the fork backend, which ran
+// each trial in its own forked child; with that backend gone they fail
+// like any typo, positioned and naming the key.
+TEST(CampaignSpec, BranchesAndForkPrefixAreRejectedAsUnknown) {
+  for (const char* key : {"branches", "fork_prefix"}) {
+    const std::string what = parse_error(std::string("{\"trials\": 1,\n \"") +
+                                         key + "\": 2}");
+    EXPECT_NE(what.find("unknown key"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::string("\"") + key + "\""), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("spec.json:2"), std::string::npos) << what;
+  }
 }
 
 TEST(CampaignSpec, ContentHashCoversResultShapingFields) {
@@ -166,8 +160,6 @@ TEST(CampaignSpec, ContentHashIgnoresRuntimeKnobs) {
   b.shard = 4;
   b.trial_timeout_s = 1.0;
   b.max_retries = 9;
-  b.branches = 8;
-  b.fork_prefix = 3.0;
   // A resume may override all of these without invalidating the journal.
   EXPECT_EQ(a.content_hash(), b.content_hash());
 }

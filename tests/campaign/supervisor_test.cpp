@@ -111,49 +111,55 @@ TEST_F(SupervisorTest, WorkerSigkillRetriesAndStatsStayIdentical) {
             format_campaign_stats(spec_, chaos_outcome, b.completed()));
 }
 
-TEST_F(SupervisorTest, ForkBackendMatchesThePoolStats) {
-  // Reference: the persistent worker pool, jobs=1.
+TEST_F(SupervisorTest, ShardBackendMatchesThePoolStats) {
+  // Both backends derive each trial's inputs through derive_trial_inputs;
+  // this spec exercises all three derivations: the per-trial seed, trial
+  // 0 keeping the pinned platform seed, and the fault-plan reseed.
+  spec_ = parse_campaign_spec(R"({
+    "trials": 4,
+    "root_seed": 42,
+    "platform": {"seed": 5936453},
+    "satin": {"tgoal_s": 8.0},
+    "duel": {"rounds_target": 5},
+    "faults": "seed=9,bitflip@1s+30s:p=0.3",
+    "faults_reseed": true
+  })", "reseeded");
+
   CampaignOptions ref = options();
-  ref.jobs = 1;
+  ref.jobs = 2;
   const CampaignOutcome ref_outcome = run_campaign(spec_, ref);
   ASSERT_TRUE(ref_outcome.ok) << ref_outcome.error;
 
-  // Fork backend: one COW child per trial, groups of 2.
-  CampaignOptions forked = options(".b.journal");
-  forked.jobs = 2;
-  forked.branches = 2;
-  const CampaignOutcome fork_outcome = run_campaign(spec_, forked);
-  ASSERT_TRUE(fork_outcome.ok) << fork_outcome.error;
-  EXPECT_FALSE(fork_outcome.degraded);
-  EXPECT_EQ(fork_outcome.completed, spec_.trials);
-  // One fork per trial — the evidence the fork path (not the pool) ran.
-  EXPECT_EQ(fork_outcome.workers_spawned, spec_.trials);
+  // In-process lockstep groups of 3 (a full group and a tail of 1).
+  CampaignOptions sharded = options(".b.journal");
+  sharded.shard = 3;
+  const CampaignOutcome shard_outcome = run_campaign(spec_, sharded);
+  ASSERT_TRUE(shard_outcome.ok) << shard_outcome.error;
+  EXPECT_FALSE(shard_outcome.degraded);
+  EXPECT_EQ(shard_outcome.completed, spec_.trials);
+  // No worker process — the evidence the shard path (not the pool) ran.
+  EXPECT_EQ(shard_outcome.workers_spawned, 0u);
 
   std::string error;
   CampaignJournal a, b;
   ASSERT_TRUE(a.open(ref.journal_path, spec_, &error)) << error;
-  ASSERT_TRUE(b.open(forked.journal_path, spec_, &error)) << error;
+  ASSERT_TRUE(b.open(sharded.journal_path, spec_, &error)) << error;
   EXPECT_EQ(format_campaign_stats(spec_, ref_outcome, a.completed()),
-            format_campaign_stats(spec_, fork_outcome, b.completed()));
+            format_campaign_stats(spec_, shard_outcome, b.completed()));
+  std::uint64_t injected = 0;
+  for (const auto& [index, result] : b.completed()) {
+    injected += result.faults_injected;
+  }
+  EXPECT_GT(injected, 0u) << "the storm never fired";
 }
 
-TEST_F(SupervisorTest, ForkBackendRefusesWarmPrefixAndChaos) {
-  CampaignSpec warm = spec_;
-  warm.branches = 2;
-  warm.fork_prefix = 5.0;  // would break trial = f(spec, index)
-  CampaignOptions o = options();
-  const CampaignOutcome prefix_outcome = run_campaign(warm, o);
-  EXPECT_FALSE(prefix_outcome.ok);
-  EXPECT_NE(prefix_outcome.error.find("fork_prefix"), std::string::npos)
-      << prefix_outcome.error;
-
-  CampaignOptions chaos = options(".b.journal");
-  chaos.branches = 2;
+TEST_F(SupervisorTest, ShardBackendRefusesChaos) {
+  CampaignOptions chaos = options();
+  chaos.shard = 2;
   chaos.chaos_kill_trial = 1;  // pool-only chaos knob
-  const CampaignOutcome chaos_outcome = run_campaign(spec_, chaos);
-  EXPECT_FALSE(chaos_outcome.ok);
-  EXPECT_NE(chaos_outcome.error.find("chaos"), std::string::npos)
-      << chaos_outcome.error;
+  const CampaignOutcome outcome = run_campaign(spec_, chaos);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_NE(outcome.error.find("chaos"), std::string::npos) << outcome.error;
 }
 
 TEST_F(SupervisorTest, ExhaustedRetriesDegradeInsteadOfHanging) {

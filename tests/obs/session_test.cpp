@@ -235,6 +235,18 @@ TEST(ObsSessionDeathTest, NonNumericValuesExitWithADiagnostic) {
   }
 }
 
+TEST(ObsSessionDeathTest, DigestCacheTypoExitsWithADiagnostic) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Keeping the cache on after a typo such as --digest-cache=of would
+  // silently measure the wrong configuration.
+  for (const std::string arg :
+       {"--digest-cache=of", "--digest-cache=OFF", "--digest-cache=0"}) {
+    EXPECT_EXIT(make_session({arg}), testing::ExitedWithCode(2),
+                "--digest-cache=.*not understood")
+        << arg;
+  }
+}
+
 TEST(ObsSessionTest, NumericFlagsParseWholeValues) {
   const std::string path = testing::TempDir() + "session_ring_ok.bin";
   {

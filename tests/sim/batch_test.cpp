@@ -403,15 +403,13 @@ TEST(BatchRunner, DuelSweepIsInvariantUnderBatchSize) {
 // PR-10 fused engine pass: merged event frontiers plus the shard-shared
 // kernel image / pristine digest base must stay an identity transform at
 // every batch size — DuelReports, the stable metrics snapshot, AND the
-// flight chain hash. --fused=off (the PR-9 round-robin loop) is held to
-// the same reference, which is what makes the recorded A/B honest.
+// flight chain hash, against the unsharded --batch=1 run of record.
 
-scenario::DuelSweep run_fused_sweep(int batch, bool fused, std::size_t trials,
+scenario::DuelSweep run_fused_sweep(int batch, std::size_t trials,
                                     std::string* stable_metrics,
                                     std::uint64_t* flight_chain) {
   const std::string flight_path = ::testing::TempDir() + "/fused_sweep_b" +
-                                  std::to_string(batch) +
-                                  (fused ? "_on" : "_off") + ".flt";
+                                  std::to_string(batch) + ".flt";
   obs::MetricsRegistry registry;
   obs::install_metrics(&registry);
   scenario::DuelSweep sweep;
@@ -427,7 +425,6 @@ scenario::DuelSweep run_fused_sweep(int batch, bool fused, std::size_t trials,
     config.jobs = 1;
     config.root_seed = 0xBA7C4ull;
     config.batch = batch;
-    config.fused = fused;
     sweep = scenario::run_duel_sweep(config);
     obs::install_flight(nullptr);
     EXPECT_TRUE(recorder.close());
@@ -448,26 +445,20 @@ TEST(BatchRunner, FusedPassIsInvariantAcrossBatchSizes) {
   const std::size_t kTrials = 33;
   std::string reference_metrics;
   std::uint64_t reference_chain = 0;
-  const scenario::DuelSweep reference = run_fused_sweep(
-      1, /*fused=*/true, kTrials, &reference_metrics, &reference_chain);
+  const scenario::DuelSweep reference =
+      run_fused_sweep(1, kTrials, &reference_metrics, &reference_chain);
   ASSERT_EQ(reference.reports.size(), kTrials);
 
-  struct Mode {
-    int batch;
-    bool fused;
-  };
-  for (const Mode mode : {Mode{3, true}, Mode{8, true}, Mode{33, true},
-                          Mode{8, false}}) {
+  for (const int batch : {3, 8, 33}) {
     std::string metrics;
     std::uint64_t chain = 0;
     const scenario::DuelSweep sweep =
-        run_fused_sweep(mode.batch, mode.fused, kTrials, &metrics, &chain);
-    const std::string where = "batch=" + std::to_string(mode.batch) +
-                              " fused=" + (mode.fused ? "on" : "off");
+        run_fused_sweep(batch, kTrials, &metrics, &chain);
+    const std::string where = "batch=" + std::to_string(batch);
     ASSERT_EQ(sweep.reports.size(), kTrials) << where;
     for (std::size_t i = 0; i < kTrials; ++i) {
       expect_reports_equal(reference.reports[i], sweep.reports[i], i,
-                           static_cast<std::size_t>(mode.batch));
+                           static_cast<std::size_t>(batch));
     }
     EXPECT_EQ(metrics, reference_metrics) << where;
     EXPECT_EQ(chain, reference_chain) << where;
@@ -481,7 +472,9 @@ TEST(BatchRunner, FusedPassIsInvariantAcrossBatchSizes) {
 // fused lanes, the classic per-trial advance(quantum) for the stragglers
 // — and reproduce the scalar per-trial reports exactly. The stragglers
 // here carry fault plans, so the two populations also finish at genuinely
-// different times (faulted duels take extra rounds to converge).
+// different times (faulted duels take extra rounds to converge). A shard
+// in which every lane declines is the pure per-trial advance() loop under
+// the shard's installed ShardContext, and must match the same reference.
 
 class FaultedDuelLockstepTrial final : public LockstepTrial {
  public:
@@ -541,30 +534,34 @@ TEST(BatchRunner, StragglersWithFaultPlansFallBackPerTrialInsideAFusedShard) {
     trial.finish();
   }
 
-  std::vector<scenario::DuelReport> fused(kTrials);
-  std::vector<std::uint64_t> faults(kTrials, 0);
-  run_lockstep_shard(
-      kTrials, Duration::from_sec(1), /*fused=*/true,
-      [&](std::size_t i) {
-        return std::make_unique<FaultedDuelLockstepTrial>(
-            seed_for(i), spec_for(i), /*offer_engine=*/i % 2 == 0, &fused[i],
-            &faults[i]);
-      },
-      [](std::size_t, const std::function<void()>& fn) { fn(); },
-      [](std::size_t slot, std::exception_ptr) {
-        FAIL() << "trial " << slot << " threw";
-      });
+  for (const bool even_lanes_fuse : {true, false}) {
+    SCOPED_TRACE(even_lanes_fuse ? "even lanes fused" : "every lane declines");
+    std::vector<scenario::DuelReport> sharded(kTrials);
+    std::vector<std::uint64_t> faults(kTrials, 0);
+    run_lockstep_shard(
+        kTrials, Duration::from_sec(1),
+        [&](std::size_t i) {
+          return std::make_unique<FaultedDuelLockstepTrial>(
+              seed_for(i), spec_for(i),
+              /*offer_engine=*/even_lanes_fuse && i % 2 == 0, &sharded[i],
+              &faults[i]);
+        },
+        [](std::size_t, const std::function<void()>& fn) { fn(); },
+        [](std::size_t slot, std::exception_ptr) {
+          FAIL() << "trial " << slot << " threw";
+        });
 
-  for (std::size_t i = 0; i < kTrials; ++i) {
-    expect_reports_equal(reference[i], fused[i], i, kTrials);
-  }
-  // The storm actually fired on the straggler lanes, so the fallback path
-  // carried real fault traffic and the two populations were not twins.
-  for (std::size_t i = 0; i < kTrials; ++i) {
-    if (i % 2 == 1) {
-      EXPECT_GT(faults[i], 0u) << "trial " << i;
-    } else {
-      EXPECT_EQ(faults[i], 0u) << "trial " << i;
+    for (std::size_t i = 0; i < kTrials; ++i) {
+      expect_reports_equal(reference[i], sharded[i], i, kTrials);
+    }
+    // The storm actually fired on the straggler lanes, so the fallback
+    // path carried real fault traffic and the populations were not twins.
+    for (std::size_t i = 0; i < kTrials; ++i) {
+      if (i % 2 == 1) {
+        EXPECT_GT(faults[i], 0u) << "trial " << i;
+      } else {
+        EXPECT_EQ(faults[i], 0u) << "trial " << i;
+      }
     }
   }
 }

@@ -11,8 +11,6 @@
 //   --journal=PATH    journal file     (default: SPEC + ".journal")
 //   --out=PATH        stats JSON       (default: SPEC + ".stats.json")
 //   --jobs=N          worker processes (default: spec's `jobs`)
-//   --branches=N      COW fork branch group size (default: spec's
-//                     `branches`; 0 = the persistent worker pool)
 //   --shard=N         in-process lockstep shard size (default: spec's
 //                     `shard`; 0 = the persistent worker pool)
 //   --timeout=SECS    per-trial wedge timeout (default: spec's)
@@ -20,12 +18,15 @@
 //   --chaos-kill-trial=I / --chaos-hang-trial=I / --chaos-kill-after=N
 //                     deterministic crash injection for the CI audit
 //
+// A malformed numeric flag value exits 2. The sweep-only fork flags
+// --branches= / --fork-prefix= are refused with exit 2: a campaign runs
+// on the worker pool or, with --shard=N, in-process lockstep shards.
+//
 // Exit codes: 0 = campaign complete, 2 = usage / spec / journal error,
 // 3 = campaign finished DEGRADED (some trials permanently failed; partial
 // stats were still written, marked "degraded": true).
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -44,29 +45,12 @@ using satin::campaign::CampaignSpec;
 int usage() {
   std::fprintf(stderr,
                "usage: satin_campaign run      SPEC.json [--journal=P] "
-               "[--out=P] [--jobs=N] [--branches=N] [--shard=N] "
+               "[--out=P] [--jobs=N] [--shard=N] "
                "[--timeout=S] [--max-retries=N]\n"
                "       satin_campaign resume   SPEC.json [same flags]\n"
                "       satin_campaign status   JOURNAL\n"
                "       satin_campaign validate SPEC.json\n");
   return 2;
-}
-
-// Strips "--<key>=<value>" from argv, returning the value ("" if absent).
-std::string take_flag(int& argc, char** argv, const char* key) {
-  const std::string prefix = std::string("--") + key + "=";
-  std::string value;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      value = argv[i] + prefix.size();
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argv[out] = nullptr;
-  argc = out;
-  return value;
 }
 
 bool load_spec(const char* path, CampaignSpec& spec) {
@@ -114,35 +98,41 @@ int cmd_validate(const char* spec_path) {
   return 0;
 }
 
-// `branches_override` carries ObsSession's parsed --branches= value
-// (ObsSession consumes that flag before the subcommand sees argv);
-// -1 = flag absent, defer to the spec.
-int cmd_run(int argc, char** argv, bool resume, int branches_override) {
+// `jobs_override` carries ObsSession's parsed --jobs= value (ObsSession
+// consumes that flag before the subcommand sees argv); 0 = flag absent,
+// defer to the spec.
+int cmd_run(int argc, char** argv, bool resume, int jobs_override) {
+  using satin::obs::parse_number;
+  using satin::obs::take_flag;
   CampaignOptions options;
   options.require_existing_journal = resume;
-  options.branches = branches_override;
+  options.jobs = jobs_override;
   options.journal_path = take_flag(argc, argv, "journal");
   options.stats_path = take_flag(argc, argv, "out");
-  const std::string jobs = take_flag(argc, argv, "jobs");
   const std::string shard = take_flag(argc, argv, "shard");
-  if (!shard.empty()) options.shard = std::atoi(shard.c_str());
   const std::string timeout = take_flag(argc, argv, "timeout");
   const std::string retries = take_flag(argc, argv, "max-retries");
   const std::string kill_trial = take_flag(argc, argv, "chaos-kill-trial");
   const std::string hang_trial = take_flag(argc, argv, "chaos-hang-trial");
   const std::string kill_after = take_flag(argc, argv, "chaos-kill-after");
-  if (!jobs.empty()) options.jobs = std::atoi(jobs.c_str());
-  if (!timeout.empty()) options.trial_timeout_s = std::atof(timeout.c_str());
-  if (!retries.empty()) options.max_retries = std::atoi(retries.c_str());
+  if (!shard.empty()) options.shard = parse_number<int>("--shard", shard);
+  if (!timeout.empty()) {
+    options.trial_timeout_s = parse_number<double>("--timeout", timeout);
+  }
+  if (!retries.empty()) {
+    options.max_retries = parse_number<int>("--max-retries", retries);
+  }
   if (!kill_trial.empty()) {
-    options.chaos_kill_trial = std::strtoll(kill_trial.c_str(), nullptr, 10);
+    options.chaos_kill_trial =
+        parse_number<std::int64_t>("--chaos-kill-trial", kill_trial);
   }
   if (!hang_trial.empty()) {
-    options.chaos_hang_trial = std::strtoll(hang_trial.c_str(), nullptr, 10);
+    options.chaos_hang_trial =
+        parse_number<std::int64_t>("--chaos-hang-trial", hang_trial);
   }
   if (!kill_after.empty()) {
     options.chaos_supervisor_kill_after =
-        std::strtoull(kill_after.c_str(), nullptr, 10);
+        parse_number<std::uint64_t>("--chaos-kill-after", kill_after);
   }
   if (argc != 2) return usage();
   const std::string spec_path = argv[1];
@@ -186,6 +176,18 @@ int cmd_run(int argc, char** argv, bool resume, int branches_override) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // ObsSession would swallow the sweep-only fork flags; refuse them here.
+  for (int i = 1; i < argc; ++i) {
+    for (const char* flag : {"--branches=", "--fork-prefix="}) {
+      if (std::strncmp(argv[i], flag, std::strlen(flag)) == 0) {
+        std::fprintf(stderr,
+                     "satin_campaign: %s is a sweep flag; campaigns run on "
+                     "the worker pool or --shard=N\n",
+                     argv[i]);
+        return 2;
+      }
+    }
+  }
   // Installs --metrics= / --metrics-stable / --flight= / --trace= sinks
   // for this (supervisor) thread; the campaign merges worker artifacts
   // into them in index order before the session flushes at exit.
@@ -197,8 +199,7 @@ int main(int argc, char** argv) {
     for (int i = 1; i + 1 < argc; ++i) argv[i] = argv[i + 1];
     --argc;
     argv[argc] = nullptr;
-    return cmd_run(argc, argv, cmd == "resume",
-                   session.branches_requested() ? session.branches() : -1);
+    return cmd_run(argc, argv, cmd == "resume", session.jobs(0));
   }
   if (cmd == "status") {
     if (argc != 3) return usage();
