@@ -10,11 +10,13 @@
 // Monte-Carlo batches and duels fan out over --jobs=J workers through
 // sim::TrialRunner; the printed rows are bit-identical for any J (and,
 // for the spot duels, for any --batch=K lockstep shard size).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "attack/evader.h"
 #include "bench/common.h"
@@ -152,17 +154,9 @@ int main(int argc, char** argv) {
   // identically on every execution path, so forked-vs-unforked stays an
   // apples-to-apples comparison; the default keeps today's output.
   double ramp_s = 0.0;
-  {
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--ramp-s=", 9) == 0) {
-        ramp_s = std::atof(argv[i] + 9);
-        if (!(ramp_s >= 0.0)) ramp_s = 0.0;
-        continue;
-      }
-      argv[out++] = argv[i];
-    }
-    argc = out;
+  if (const std::string ramp = satin::obs::take_flag(argc, argv, "ramp-s");
+      !ramp.empty()) {
+    ramp_s = std::max(0.0, satin::obs::parse_number<double>("--ramp-s", ramp));
   }
   hw::TimingParams timing;
   const int jobs = obs.jobs(/*fallback=*/1);
@@ -241,19 +235,20 @@ int main(int argc, char** argv) {
          base += static_cast<std::size_t>(branches)) {
       const std::size_t count = std::min(static_cast<std::size_t>(branches),
                                          kProbeCount - base);
+      std::vector<std::size_t> group(count);
+      std::iota(group.begin(), group.end(), base);
       sim::ForkServerOptions fork_options;
       fork_options.jobs = jobs;
       fork_options.flight_ring = obs.flight_ring();
-      fork_options.index_base = base;
       fork_options.marker_seed = [&seeds](std::size_t global) {
         return seeds.seed_for(global);
       };
       std::vector<std::string> payloads;
       if (prefix_s <= 0.0) {
         sim::ForkServer server(fork_options);
-        payloads = server.run_collect(count, [&](std::size_t branch) {
+        payloads = server.run_collect(group, [&](std::size_t index) {
           char c = 0;
-          SpotDuelTrial trial(probes[base + branch].offset, &c, ramp_s);
+          SpotDuelTrial trial(probes[index].offset, &c, ramp_s);
           while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
           trial.finish();
           return std::string(c ? "1" : "0");
@@ -280,9 +275,9 @@ int main(int argc, char** argv) {
           if (ramp_s > 0.0) {
             trial.advance(sim::Duration::from_sec_f(ramp_s));
           }
-          outcomes = server.run(count, [&](std::size_t branch) {
+          outcomes = server.run(group, [&](std::size_t index) {
             char c = 0;
-            trial.engage(probes[base + branch].offset, &c);
+            trial.engage(probes[index].offset, &c);
             while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
             trial.finish();
             return std::string(c ? "1" : "0");

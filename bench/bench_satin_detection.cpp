@@ -12,9 +12,8 @@
 // below match the single-run bench of record); the extra replicas feed
 // the seed-stability summary.
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/common.h"
@@ -25,20 +24,12 @@
 namespace {
 
 // Strips --clean-rounds=<N> from argv; 0 = flag absent (run the duel).
+// A malformed N exits 2.
 std::uint64_t take_clean_rounds(int& argc, char** argv) {
-  constexpr const char* kPrefix = "--clean-rounds=";
-  std::uint64_t rounds = 0;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], kPrefix, std::strlen(kPrefix)) == 0) {
-      rounds = std::strtoull(argv[i] + std::strlen(kPrefix), nullptr, 10);
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argv[out] = nullptr;
-  argc = out;
-  return rounds;
+  const std::string rounds = satin::obs::take_flag(argc, argv, "clean-rounds");
+  return rounds.empty() ? 0
+                        : satin::obs::parse_number<std::uint64_t>(
+                              "--clean-rounds", rounds);
 }
 
 // One clean-run replica, decomposed as a LockstepTrial so --batch=K can

@@ -17,8 +17,8 @@
 // --replicas=N repeats the duel under N storms (replica 0 is the storm of
 // record; later replicas re-seed the storm and the platform), fanned over
 // --jobs=J workers.
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -48,22 +48,13 @@ struct ReplicaOutcome {
   bool ok = false;
 };
 
-// Strips a leading --replicas=N from argv (anywhere), like ObsSession
-// does for its own flags.
+// Strips --replicas=N from argv (anywhere), like ObsSession does for its
+// own flags; 0 runs one replica, a malformed N exits 2.
 std::size_t parse_replicas(int& argc, char** argv) {
-  std::size_t replicas = 1;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--replicas=", 11) == 0) {
-      replicas = static_cast<std::size_t>(
-          std::strtoull(argv[i] + 11, nullptr, 10));
-      if (replicas == 0) replicas = 1;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  return replicas;
+  const std::string value = satin::obs::take_flag(argc, argv, "replicas");
+  if (value.empty()) return 1;
+  return std::max<std::size_t>(
+      1, satin::obs::parse_number<std::size_t>("--replicas", value));
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 // to (spec content hash, trial count, root seed); every further line is
 // one completed trial's checksummed record (campaign/trial.h). Appends
 // are flushed and fsync'd before the supervisor counts a trial done, so
-// after ANY crash — worker SIGKILL, supervisor SIGKILL, power loss — the
-// journal holds exactly the completed trials, and a resume re-runs only
-// the rest. Because trials are pure functions of (spec, index), the
+// after ANY crash — trial child SIGKILL, supervisor SIGKILL, power loss —
+// the journal holds exactly the completed trials, and a resume re-runs
+// only the rest. Because trials are pure functions of (spec, index), the
 // resumed run finishes byte-identical to an uninterrupted one.
 //
 // Loading is forgiving about damage but never about meaning: a torn tail
@@ -41,7 +41,7 @@ class CampaignJournal {
             std::string* error);
 
   // Valid completed trials, keyed by index (first record wins; a
-  // duplicate index — e.g. an orphan worker racing a resume — is benign
+  // duplicate index — e.g. two runs racing on one journal — is benign
   // because both computed identical bits, and is dropped).
   const std::map<std::uint64_t, TrialResult>& completed() const {
     return completed_;

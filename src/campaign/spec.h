@@ -2,13 +2,13 @@
 //
 // A campaign is N independent duel trials — platform config, SATIN knobs,
 // attacker mix, fault plan, trial count, root seed — described as JSON and
-// executed by the supervisor/worker runtime (campaign/supervisor.h).
+// executed by the campaign supervisor (campaign/supervisor.h).
 // Validation is fail-fast: every type mismatch, out-of-range value,
 // unknown key and malformed fault-plan string dies at parse time with a
 // `file:line:col` diagnostic, never mid-campaign.
 //
 // Determinism contract: a trial's entire input is (spec, trial index).
-// Per-trial seeds come from sim::TrialSeedSeq(root_seed), so any worker
+// Per-trial seeds come from sim::TrialSeedSeq(root_seed), so any jobs
 // count, shard layout, crash/retry history or resume point replays a
 // trial bit-identically — the property every crash-identity gate and the
 // journal's resume path rely on.
@@ -18,7 +18,6 @@
 //     "trials": 64,
 //     "root_seed": 99,
 //     "jobs": 4,
-//     "shard_size": 2,
 //     "trial_timeout_s": 120.0,
 //     "max_retries": 2,
 //     "platform": {"num_little": 4, "num_big": 2, "seed": 5936453},
@@ -43,19 +42,18 @@ struct CampaignSpec {
   std::string name = "campaign";
   std::uint64_t trials = 1;
   std::uint64_t root_seed = 0x5A71A57ull;
-  int jobs = 1;                   // worker processes
-  std::uint64_t shard_size = 1;   // trial indices per dispatch batch
+  int jobs = 1;                   // concurrent trial child processes
   double trial_timeout_s = 120.0; // host wall time before a trial is killed
-  int max_retries = 2;            // re-dispatches per trial before giving up
+  int max_retries = 2;            // re-forks per trial before giving up
   // In-process lockstep shard backend (sim/batch.h): > 1 replaces the
-  // worker-process pool with groups of this many trials advanced through
-  // the fused engine pass on the supervisor thread (merged event
+  // per-trial child processes with groups of this many trials advanced
+  // through the fused engine pass on the supervisor thread (merged event
   // frontiers, shared kernel image + pristine digest base). Every trial
   // is still a pure function of (spec, index) and the fused pass is
   // identity-inert, so journal/stats/artifacts are byte-identical to any
-  // worker-pool schedule (CI-gated) — a pure runtime knob, NOT folded
+  // process-backend schedule (CI-gated) — a pure runtime knob, NOT folded
   // into content_hash(). Mutually exclusive with the chaos knobs (there is
-  // no worker process to crash).
+  // no child process to crash).
   int shard = 0;
 
   scenario::ScenarioConfig scenario;

@@ -2,24 +2,17 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <set>
-#include <thread>
 
-#include <poll.h>
 #include <sys/stat.h>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "campaign/trial.h"
-#include "campaign/worker.h"
 #include "fault/injector.h"
 #include "obs/flight/audit.h"
 #include "obs/flight/recorder.h"
@@ -27,45 +20,13 @@
 #include "obs/session.h"
 #include "scenario/scenario.h"
 #include "sim/batch.h"
+#include "sim/fork.h"
 #include "sim/parallel.h"
 #include "sim/seed_seq.h"
 
 namespace satin::campaign {
 
 namespace {
-
-// A slot is retired (pool shrink) after this many consecutive crashes:
-// at that point the crashes are systematic, not bad luck, and respawning
-// would burn every trial's retry budget on a doomed slot.
-constexpr int kSlotCrashLimit = 3;
-constexpr int kBackoffBaseMs = 25;
-constexpr int kBackoffCapMs = 500;
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct WorkerSlot {
-  pid_t pid = -1;
-  int cmd_fd = -1;  // supervisor writes commands here
-  int res_fd = -1;  // supervisor reads heartbeats/results here
-  std::deque<std::uint64_t> inflight;  // dispatch order
-  std::string read_buf;
-  double last_activity = 0.0;
-  int consecutive_crashes = 0;
-  bool alive = false;
-  bool retired = false;
-  bool quitting = false;  // sent "Q", EOF is expected, not a crash
-};
-
-void close_fd(int& fd) {
-  if (fd >= 0) {
-    ::close(fd);
-    fd = -1;
-  }
-}
 
 std::string format_double17(double v) {
   char buf[64];
@@ -282,15 +243,11 @@ class Supervisor {
   Supervisor(const CampaignSpec& spec, const CampaignOptions& options)
       : spec_(spec), options_(options) {
     jobs_ = options.jobs > 0 ? options.jobs : spec.jobs;
-    shard_size_ = options.shard_size > 0 ? options.shard_size
-                                         : spec.shard_size;
     timeout_s_ = options.trial_timeout_s > 0.0 ? options.trial_timeout_s
                                                : spec.trial_timeout_s;
     max_retries_ = options.max_retries >= 0 ? options.max_retries
                                             : spec.max_retries;
     lockstep_ = options.shard >= 0 ? options.shard : spec.shard;
-    chaos_kill_armed_ = options.chaos_kill_trial >= 0;
-    chaos_hang_armed_ = options.chaos_hang_trial >= 0;
   }
 
   CampaignOutcome run() {
@@ -326,7 +283,6 @@ class Supervisor {
     // recorded: a resume started with --metrics can then merge trials
     // completed by an earlier metrics-less run. Flight recordings can be
     // arbitrarily large, so those only exist when the session asks.
-    want_metrics_ = true;
     want_flight_ = obs::flight() != nullptr;
     artifacts_dir_ = options_.journal_path + ".d";
     if (::mkdir(artifacts_dir_.c_str(), 0777) != 0 && errno != EEXIST) {
@@ -335,41 +291,32 @@ class Supervisor {
     }
 
     if (lockstep_ > 1) {
-      // In-process lockstep backend: no worker process exists, so crash
+      // In-process lockstep backend: no child process exists, so crash
       // chaos is meaningless here.
       if (options_.chaos_kill_trial >= 0 || options_.chaos_hang_trial >= 0 ||
           options_.chaos_supervisor_kill_after > 0) {
         outcome.error =
-            "chaos knobs drive the persistent worker pool; the in-process "
-            "shard backend has no worker process to crash";
+            "chaos knobs crash or hang a trial's child process; the "
+            "in-process shard backend has none";
         return outcome;
       }
     }
 
     if (!pending_.empty()) {
-      // Writing into a dead worker's pipe must surface as EPIPE on the
-      // write, not kill the supervisor.
-      signal(SIGPIPE, SIG_IGN);
       if (lockstep_ > 1) {
-        run_shard_backend(outcome);
+        run_shard_backend();
       } else {
-        const int jobs = static_cast<int>(std::min<std::uint64_t>(
-            static_cast<std::uint64_t>(jobs_), pending_.size()));
-        slots_.resize(static_cast<std::size_t>(jobs));
-        for (WorkerSlot& slot : slots_) spawn(slot, outcome);
-        event_loop(outcome);
-        shutdown_workers();
+        run_process_backend(outcome);
       }
     }
 
-    // Permanently failed trials (retries exhausted or pool emptied).
-    for (std::uint64_t idx : failed_) outcome.failed_trials.push_back(idx);
-    for (std::uint64_t idx : pending_) outcome.failed_trials.push_back(idx);
-    std::sort(outcome.failed_trials.begin(), outcome.failed_trials.end());
+    // Permanently failed trials (threw, retries exhausted, or not
+    // journaled), in index order.
+    outcome.failed_trials.assign(failed_.begin(), failed_.end());
     outcome.degraded = !outcome.failed_trials.empty();
     outcome.completed = journal_.completed().size();
 
-    merge_artifacts(outcome);
+    merge_artifacts();
     publish_metrics(outcome);
 
     if (!options_.stats_path.empty()) {
@@ -385,322 +332,107 @@ class Supervisor {
   }
 
  private:
-  void spawn(WorkerSlot& slot, CampaignOutcome& outcome) {
-    int cmd_pipe[2];  // supervisor -> worker
-    int res_pipe[2];  // worker -> supervisor
-    if (::pipe(cmd_pipe) != 0) return;
-    if (::pipe(res_pipe) != 0) {
-      ::close(cmd_pipe[0]);
-      ::close(cmd_pipe[1]);
-      return;
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(cmd_pipe[0]);
-      ::close(cmd_pipe[1]);
-      ::close(res_pipe[0]);
-      ::close(res_pipe[1]);
-      return;
-    }
-    if (pid == 0) {
-      // Child: close the supervisor ends (and every other slot's fds so
-      // one worker's death can't be masked by a sibling holding pipes).
-      ::close(cmd_pipe[1]);
-      ::close(res_pipe[0]);
-      for (const WorkerSlot& other : slots_) {
-        if (other.cmd_fd >= 0) ::close(other.cmd_fd);
-        if (other.res_fd >= 0) ::close(other.res_fd);
-      }
-      WorkerContext ctx;
-      ctx.spec = &spec_;
-      ctx.cmd_fd = cmd_pipe[0];
-      ctx.res_fd = res_pipe[1];
-      ctx.artifacts_dir = artifacts_dir_;
-      ctx.want_metrics = want_metrics_;
-      ctx.want_flight = want_flight_;
-      ctx.flight_ring = options_.flight_ring;
-      worker_main(ctx);  // never returns
-    }
-    ::close(cmd_pipe[0]);
-    ::close(res_pipe[1]);
-    slot.pid = pid;
-    slot.cmd_fd = cmd_pipe[1];
-    slot.res_fd = res_pipe[0];
-    slot.alive = true;
-    slot.quitting = false;
-    slot.read_buf.clear();
-    slot.inflight.clear();
-    slot.last_activity = now_seconds();
-    ++outcome.workers_spawned;
-  }
-
-  bool send_command(WorkerSlot& slot, const std::string& line) {
-    const char* p = line.data();
-    std::size_t left = line.size();
-    while (left > 0) {
-      const ssize_t n = ::write(slot.cmd_fd, p, left);
-      if (n <= 0) return false;
-      p += n;
-      left -= static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  // Tops a worker up to shard_size in-flight trials, in global index
-  // order. Dispatch order is deterministic; completion order is racy;
-  // nothing downstream reads completion order.
-  void top_up(WorkerSlot& slot, CampaignOutcome& outcome) {
-    while (slot.alive && !slot.retired &&
-           slot.inflight.size() < shard_size_ && !pending_.empty()) {
-      const std::uint64_t idx = pending_.front();
-      std::string cmd = "T " + std::to_string(idx);
-      if (chaos_kill_armed_ &&
-          idx == static_cast<std::uint64_t>(options_.chaos_kill_trial)) {
-        cmd += " kill";
-        chaos_kill_armed_ = false;  // first dispatch only: the retry runs
-      }
-      if (chaos_hang_armed_ &&
-          idx == static_cast<std::uint64_t>(options_.chaos_hang_trial)) {
-        cmd += " hang";
-        chaos_hang_armed_ = false;
-      }
-      if (!send_command(slot, cmd + "\n")) {
-        // Pipe already broken; the poll loop will reap the crash.
-        return;
-      }
-      pending_.pop_front();
-      slot.inflight.push_back(idx);
-      if (was_dispatched_.count(idx) != 0) ++outcome.retries;
-      was_dispatched_.insert(idx);
-    }
-  }
-
-  void handle_crash(WorkerSlot& slot, CampaignOutcome& outcome,
-                    bool timed_out) {
-    slot.alive = false;
-    close_fd(slot.cmd_fd);
-    close_fd(slot.res_fd);
-    if (slot.pid > 0) {
-      if (timed_out) ::kill(slot.pid, SIGKILL);
-      int status = 0;
-      ::waitpid(slot.pid, &status, 0);
-      slot.pid = -1;
-    }
-    ++outcome.worker_crashes;
-    if (timed_out) ++outcome.worker_timeouts;
-    ++slot.consecutive_crashes;
-
-    // Return in-flight trials to the FRONT of the queue, preserving
-    // index order, with retry budgets decremented.
-    outcome.redispatches += slot.inflight.size();
-    for (auto it = slot.inflight.rbegin(); it != slot.inflight.rend(); ++it) {
-      const std::uint64_t idx = *it;
-      if (++retry_count_[idx] > max_retries_) {
-        failed_.insert(idx);
-        std::fprintf(stderr,
-                     "campaign: trial %" PRIu64 " failed %d times, giving up\n",
-                     idx, max_retries_ + 1);
-      } else {
-        pending_.push_front(idx);
-      }
-    }
-    slot.inflight.clear();
-
-    if (slot.consecutive_crashes >= kSlotCrashLimit) {
-      slot.retired = true;
-      ++outcome.pool_shrinks;
+  // Journals one completed trial (fsync'd) unless an earlier run already
+  // did; a failed append leaves the trial failed for this run.
+  void journal(const TrialResult& result) {
+    if (journal_.completed().count(result.index) != 0) return;
+    if (!journal_.append(result)) {
       std::fprintf(stderr,
-                   "campaign: worker slot retired after %d consecutive "
-                   "crashes (pool shrinks to %zu)\n",
-                   slot.consecutive_crashes, live_slots());
+                   "campaign: journal append failed for trial %" PRIu64 "\n",
+                   result.index);
+      failed_.insert(result.index);
       return;
     }
-    // Exponential backoff before the respawn: a crash loop with a
-    // systematic cause shouldn't melt the host while it burns its budget.
-    const int shift = std::min(slot.consecutive_crashes - 1, 8);
-    const int backoff_ms =
-        std::min(kBackoffCapMs, kBackoffBaseMs << shift);
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-    spawn(slot, outcome);
-  }
-
-  std::size_t live_slots() const {
-    std::size_t n = 0;
-    for (const WorkerSlot& s : slots_) {
-      if (s.alive && !s.retired) ++n;
-    }
-    return n;
-  }
-
-  bool work_remains() const {
-    if (!pending_.empty()) return true;
-    for (const WorkerSlot& s : slots_) {
-      if (!s.inflight.empty()) return true;
-    }
-    return false;
-  }
-
-  void handle_line(WorkerSlot& slot, const std::string& line,
-                   CampaignOutcome& outcome) {
-    slot.last_activity = now_seconds();
-    if (line.compare(0, 2, "B ") == 0) return;  // heartbeat: trial started
-    TrialResult result;
-    std::string why;
-    if (!decode_trial_record(line, result, &why)) {
-      // A worker sending garbage is a crash in slow motion.
-      std::fprintf(stderr, "campaign: bad record from worker: %s\n",
-                   why.c_str());
-      handle_crash(slot, outcome, /*timed_out=*/false);
-      return;
-    }
-    if (slot.inflight.empty() || slot.inflight.front() != result.index) {
-      std::fprintf(stderr, "campaign: out-of-order record for trial %" PRIu64
-                           "\n", result.index);
-      handle_crash(slot, outcome, /*timed_out=*/false);
-      return;
-    }
-    slot.inflight.pop_front();
-    slot.consecutive_crashes = 0;
-    if (journal_.completed().count(result.index) == 0) {
-      if (!journal_.append(result)) {
-        std::fprintf(stderr, "campaign: journal append failed for trial %"
-                             PRIu64 "\n", result.index);
-        failed_.insert(result.index);
-        return;
-      }
-      if (options_.chaos_supervisor_kill_after > 0 &&
-          journal_.appended() >= options_.chaos_supervisor_kill_after) {
-        // Chaos: die exactly like a power cut — after the fsync'd append,
-        // before anything else. The resume must finish the campaign
-        // byte-identically.
-        raise(SIGKILL);
-      }
+    if (options_.chaos_supervisor_kill_after > 0 &&
+        journal_.appended() >= options_.chaos_supervisor_kill_after) {
+      // Chaos: die exactly like a power cut — after the fsync'd append,
+      // before anything else. The resume must finish the campaign
+      // byte-identically.
+      raise(SIGKILL);
     }
   }
 
-  void event_loop(CampaignOutcome& outcome) {
-    while (work_remains()) {
-      if (live_slots() == 0) {
-        // Pool died entirely. Whatever is left becomes the degraded set.
-        for (std::uint64_t idx : pending_) failed_.insert(idx);
-        pending_.clear();
-        break;
-      }
-      for (WorkerSlot& slot : slots_) top_up(slot, outcome);
+  // Process backend: every pending trial runs in its own sim::ForkServer
+  // child, at most `jobs` at a time, under ForkServer's failure ladder
+  // (heartbeat timeout, SIGKILL + reap, per-trial retry budget with
+  // backoff, first-attempt chaos). A child runs run_campaign_trial under
+  // fresh sinks and persists <journal>.d/trial_<i>.{met,flt} before its
+  // record, so "in the journal" implies "artifacts on disk". Records are
+  // journaled as they land, so a supervisor kill loses only the trials
+  // still in flight.
+  void run_process_backend(CampaignOutcome& outcome) {
+    sim::ForkServerOptions fork_options;
+    fork_options.jobs = jobs_;
+    fork_options.timeout_s = timeout_s_;
+    fork_options.max_retries = max_retries_;
+    fork_options.flight_ring = options_.flight_ring;
+    fork_options.scratch_dir = artifacts_dir_;
+    fork_options.chaos_kill_branch =
+        static_cast<int>(options_.chaos_kill_trial);
+    fork_options.chaos_hang_branch =
+        static_cast<int>(options_.chaos_hang_trial);
 
-      std::vector<pollfd> fds;
-      std::vector<std::size_t> fd_slot;
-      double next_deadline = now_seconds() + 60.0;
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
-        WorkerSlot& slot = slots_[i];
-        if (!slot.alive) continue;
-        fds.push_back(pollfd{slot.res_fd, POLLIN, 0});
-        fd_slot.push_back(i);
-        if (!slot.inflight.empty()) {
-          next_deadline =
-              std::min(next_deadline, slot.last_activity + timeout_s_);
-        }
-      }
-      if (fds.empty()) continue;
-      const double wait_s = next_deadline - now_seconds();
-      const int timeout_ms =
-          wait_s <= 0.0 ? 0
-                        : static_cast<int>(std::min(wait_s * 1000.0, 60000.0)) +
-                              10;
-      const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
-      if (ready < 0 && errno != EINTR) break;
+    // Children record metrics whenever the forking thread has a registry
+    // installed, so a session without --metrics lends them this empty one
+    // (nothing records into it here). Traces do not cross fork().
+    obs::MetricsRegistry lent_metrics;
+    sim::TrialObsScope sinks(
+        obs::metrics() != nullptr ? obs::metrics() : &lent_metrics, nullptr,
+        obs::flight());
 
-      for (std::size_t k = 0; k < fds.size(); ++k) {
-        if (ready <= 0) break;
-        if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        WorkerSlot& slot = slots_[fd_slot[k]];
-        if (!slot.alive) continue;  // crashed earlier in this sweep
-        char chunk[4096];
-        const ssize_t n = ::read(slot.res_fd, chunk, sizeof(chunk));
-        if (n <= 0) {
-          handle_crash(slot, outcome, /*timed_out=*/false);
-          continue;
-        }
-        slot.read_buf.append(chunk, static_cast<std::size_t>(n));
-        std::size_t nl;
-        while (slot.alive &&
-               (nl = slot.read_buf.find('\n')) != std::string::npos) {
-          const std::string line = slot.read_buf.substr(0, nl);
-          slot.read_buf.erase(0, nl + 1);
-          handle_line(slot, line, outcome);
-        }
-      }
-
-      // Wedge detection: a worker with in-flight work and no heartbeat or
-      // result within the timeout is killed and treated as crashed.
-      const double now = now_seconds();
-      for (WorkerSlot& slot : slots_) {
-        if (slot.alive && !slot.inflight.empty() &&
-            now - slot.last_activity > timeout_s_) {
-          std::fprintf(stderr,
-                       "campaign: worker pid %d timed out on trial %" PRIu64
-                       " after %.1fs\n",
-                       static_cast<int>(slot.pid), slot.inflight.front(),
-                       timeout_s_);
-          handle_crash(slot, outcome, /*timed_out=*/true);
-        }
-      }
-    }
-  }
-
-  void shutdown_workers() {
-    for (WorkerSlot& slot : slots_) {
-      if (!slot.alive) continue;
-      slot.quitting = true;
-      send_command(slot, "Q\n");
-      close_fd(slot.cmd_fd);
-    }
-    for (WorkerSlot& slot : slots_) {
-      if (slot.pid > 0) {
-        int status = 0;
-        ::waitpid(slot.pid, &status, 0);
-        slot.pid = -1;
-      }
-      close_fd(slot.cmd_fd);
-      close_fd(slot.res_fd);
-      slot.alive = false;
-    }
+    sim::ForkServer server(fork_options);
+    server.run(
+        std::vector<std::size_t>(pending_.begin(), pending_.end()),
+        [this](std::size_t index) {
+          return encode_trial_record(run_campaign_trial(spec_, index));
+        },
+        [this](std::size_t index, const sim::ForkOutcome& settled) {
+          TrialResult result;
+          std::string why = settled.error;
+          if (settled.ok &&
+              decode_trial_record(settled.payload, result, &why) &&
+              result.index == index) {
+            journal(result);
+            return;
+          }
+          std::fprintf(stderr, "campaign: trial %zu failed: %s\n", index,
+                       why.c_str());
+          failed_.insert(index);
+        });
+    outcome.retries = server.retries();
+    outcome.worker_crashes = server.crashes();
+    outcome.worker_timeouts = server.timeouts();
+    outcome.workers_spawned = server.forks();
   }
 
   // In-process lockstep shard backend (spec/option `shard` > 1): pending
   // trials run as fused lockstep groups on the supervisor thread instead
-  // of the worker-process pool. Each group of `shard` trials advances
+  // of one child process each. Each group of `shard` trials advances
   // through one merged event frontier, sharing the immutable kernel image
   // and pristine digest base (sim/batch.h, sim/shard.h); every trial
   // still runs under fresh per-trial sinks and remains a pure function of
   // (spec, index), so journal, stats, metrics and flight artifacts are
-  // byte-identical to any worker-pool schedule (CI-gated). There is no
-  // process isolation: a throwing trial fails permanently (the retry
-  // ladder exists to absorb crashes, which cannot happen here), and the
-  // chaos/timeout knobs are refused up front.
-  void run_shard_backend(CampaignOutcome& outcome) {
-    (void)outcome;
-    std::vector<std::uint64_t> order(pending_.begin(), pending_.end());
-    pending_.clear();
+  // byte-identical to any process-backend schedule (CI-gated). There is
+  // no process isolation: a throwing trial fails permanently, exactly as
+  // in the process backend, and the chaos knobs are refused up front.
+  void run_shard_backend() {
     const auto group_size = static_cast<std::size_t>(lockstep_);
-    for (std::size_t base = 0; base < order.size(); base += group_size) {
-      const std::size_t count = std::min(group_size, order.size() - base);
-      const std::uint64_t* group = order.data() + base;
+    for (std::size_t base = 0; base < pending_.size(); base += group_size) {
+      const std::size_t count = std::min(group_size, pending_.size() - base);
+      const std::uint64_t* group = pending_.data() + base;
 
-      // Per-slot sinks mirror the worker process's private ones: metrics
-      // are always recorded, flight only when the session asks.
+      // Per-slot sinks mirror a process-backend child's private ones:
+      // metrics are always recorded, flight only when the session asks.
       std::vector<std::unique_ptr<obs::MetricsRegistry>> metrics(count);
       std::vector<std::unique_ptr<obs::FlightRecorder>> flight(count);
       std::vector<TrialResult> results(count);
       std::deque<bool> completed(count, false);
       std::deque<bool> errored(count, false);
       for (std::size_t j = 0; j < count; ++j) {
-        if (want_metrics_) {
-          metrics[j] = std::make_unique<obs::MetricsRegistry>();
-        }
+        metrics[j] = std::make_unique<obs::MetricsRegistry>();
         if (want_flight_) {
           obs::FlightRecorder::Options fopts;
-          fopts.path = trial_flight_path(artifacts_dir_, group[j]);
+          fopts.path = sim::trial_flight_path(artifacts_dir_, group[j]);
           fopts.ring = options_.flight_ring;
           flight[j] = std::make_unique<obs::FlightRecorder>(fopts);
         }
@@ -737,15 +469,15 @@ class Supervisor {
           failed_.insert(index);
           continue;
         }
-        // Artifacts first, journal second — the same durability order the
-        // worker protocol keeps: "in the journal" implies "artifacts on
-        // disk".
+        // Artifacts first, journal second — the same durability order a
+        // process-backend child keeps: "in the journal" implies
+        // "artifacts on disk".
         bool durable = true;
         if (flight[j] != nullptr && !flight[j]->close()) durable = false;
-        if (durable && metrics[j] != nullptr) {
+        if (durable) {
           std::string error;
           if (!metrics[j]->save_binary(
-                  trial_metrics_path(artifacts_dir_, index), &error)) {
+                  sim::trial_metrics_path(artifacts_dir_, index), &error)) {
             std::fprintf(stderr, "campaign: trial %" PRIu64 ": %s\n", index,
                          error.c_str());
             durable = false;
@@ -755,14 +487,7 @@ class Supervisor {
           failed_.insert(index);
           continue;
         }
-        if (journal_.completed().count(index) == 0 &&
-            !journal_.append(results[j])) {
-          std::fprintf(stderr,
-                       "campaign: journal append failed for trial %" PRIu64
-                       "\n",
-                       index);
-          failed_.insert(index);
-        }
+        journal(results[j]);
       }
     }
   }
@@ -771,8 +496,7 @@ class Supervisor {
   // in strict index order — the cross-process twin of TrialRunner's
   // submission-order merge, and the reason a campaign's --metrics and
   // --flight outputs are byte-identical for any schedule.
-  void merge_artifacts(CampaignOutcome& outcome) {
-    (void)outcome;
+  void merge_artifacts() {
     obs::MetricsRegistry* session_metrics = obs::metrics();
     obs::FlightRecorder* session_flight = obs::flight();
     if ((session_metrics == nullptr && session_flight == nullptr) ||
@@ -783,7 +507,8 @@ class Supervisor {
     for (const auto& [index, result] : journal_.completed()) {
       (void)result;
       if (session_metrics != nullptr) {
-        const std::string path = trial_metrics_path(artifacts_dir_, index);
+        const std::string path =
+            sim::trial_metrics_path(artifacts_dir_, index);
         std::string error;
         if (!session_metrics->load_merge_binary(path, &error)) {
           std::fprintf(stderr, "campaign: %s (metrics gap)\n", error.c_str());
@@ -791,7 +516,7 @@ class Supervisor {
         }
       }
       if (session_flight != nullptr) {
-        const std::string path = trial_flight_path(artifacts_dir_, index);
+        const std::string path = sim::trial_flight_path(artifacts_dir_, index);
         obs::FlightLog log;
         std::string error;
         if (!obs::read_flight_log(path, log, &error)) {
@@ -826,14 +551,12 @@ class Supervisor {
       g.mark_volatile();
     };
     vgauge("campaign.retries", static_cast<double>(outcome.retries));
-    vgauge("campaign.redispatches", static_cast<double>(outcome.redispatches));
     vgauge("campaign.worker_crashes",
            static_cast<double>(outcome.worker_crashes));
     vgauge("campaign.worker_timeouts",
            static_cast<double>(outcome.worker_timeouts));
     vgauge("campaign.workers_spawned",
            static_cast<double>(outcome.workers_spawned));
-    vgauge("campaign.pool_shrinks", static_cast<double>(outcome.pool_shrinks));
     vgauge("campaign.trials_resumed", static_cast<double>(outcome.resumed));
     vgauge("campaign.journal_quarantined",
            static_cast<double>(outcome.quarantined));
@@ -844,21 +567,14 @@ class Supervisor {
   const CampaignSpec& spec_;
   const CampaignOptions& options_;
   int jobs_ = 1;
-  std::uint64_t shard_size_ = 1;
   double timeout_s_ = 120.0;
   int max_retries_ = 2;
   int lockstep_ = 0;  // resolved `shard` knob (in-process lockstep size)
-  bool chaos_kill_armed_ = false;
-  bool chaos_hang_armed_ = false;
 
   CampaignJournal journal_;
-  std::deque<std::uint64_t> pending_;
-  std::vector<WorkerSlot> slots_;
-  std::map<std::uint64_t, int> retry_count_;
-  std::set<std::uint64_t> was_dispatched_;
+  std::vector<std::uint64_t> pending_;  // not yet journaled, index order
   std::set<std::uint64_t> failed_;
   std::string artifacts_dir_;
-  bool want_metrics_ = false;
   bool want_flight_ = false;
   std::uint64_t artifacts_missing_ = 0;
 };

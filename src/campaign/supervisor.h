@@ -1,32 +1,35 @@
 // Campaign supervisor: process-isolated fan-out with crash identity.
 //
-// The supervisor forks `jobs` worker processes and feeds each a shard of
-// trial indices over a pipe pair; workers run trials (campaign/trial.h)
-// against their own per-trial obs sinks, persist the obs artifacts, and
-// send back checksummed result records which the supervisor validates and
-// appends to the journal (fsync'd) before counting the trial done.
+// The supervisor runs every pending trial index as one sim::ForkServer
+// child (sim/fork.h), at most `jobs` at a time. A child runs its trial
+// (campaign/trial.h) against private per-trial obs sinks, persists the
+// obs artifacts, and sends back a checksummed result record, which the
+// supervisor validates and appends to the journal (fsync'd) as it lands,
+// before counting the trial done. With `shard` > 1 the trials instead run
+// in-process as fused lockstep groups (sim/batch.h).
 //
-// Failure model, in order of escalation:
-//  * worker crash (any exit, SIGKILL included) — its in-flight trial
-//    indices go back to the front of the queue; each index retries up to
-//    max_retries times with exponential backoff on the respawned slot;
-//  * worker wedge — no heartbeat ("B <idx>") or result within
-//    trial_timeout_s gets the worker SIGKILLed, then the crash path;
-//  * repeated crashes on one slot — after 3 consecutive crashes the slot
-//    is retired (pool shrink) instead of respawned;
-//  * everything retired / retries exhausted — the campaign still emits
-//    its stats, with `degraded: true` and the failed trial list, instead
-//    of hanging or dying empty-handed.
+// Failure model — ForkServer's ladder, in order of escalation:
+//  * child crash (any exit before its record, SIGKILL included) or torn
+//    record — the trial is re-forked, up to max_retries times, with
+//    exponential backoff;
+//  * child wedge — no heartbeat ("B <idx>") or result within
+//    trial_timeout_s gets the child SIGKILLed, then the crash path;
+//  * a trial that throws fails at once (an "E" record), with no retry:
+//    the trial is a pure function of (spec, index), so a retry would
+//    throw again. The shard backend treats a throw the same way;
+//  * retries exhausted / trial threw — the campaign still emits its
+//    stats, with `degraded: true` and the failed trial list, instead of
+//    hanging or dying empty-handed.
 //
 // Crash identity: trials are pure functions of (spec, index) and
 // aggregation is strictly index-ordered, so ANY schedule — jobs count,
-// shard layout, crashes, retries, re-dispatches, SIGKILL + resume — ends
-// in byte-identical stats and (stable) metrics. CI enforces this
-// literally, with a chaos-injected run diffed against a jobs=1
-// uninterrupted one. The chaos_* knobs exist for that gate: they make a
-// worker kill or hang itself on the FIRST dispatch of a chosen trial, and
-// the supervisor SIGKILL itself after N journal appends — deterministic
-// crashes, no sleep-and-hope process hunting in CI scripts.
+// crashes, retries, SIGKILL + resume, shard layout — ends in
+// byte-identical stats and (stable) metrics. CI enforces this literally,
+// with a chaos-injected run diffed against a jobs=1 uninterrupted one.
+// The chaos_* knobs exist for that gate: they make a trial's child kill
+// or hang itself on its FIRST attempt, and the supervisor SIGKILL itself
+// after N journal appends — deterministic crashes, no sleep-and-hope
+// process hunting in CI scripts.
 #pragma once
 
 #include <cstdint>
@@ -44,23 +47,22 @@ struct CampaignOptions {
   // Runtime overrides; 0/-1 = take the spec's value. Never part of the
   // spec content hash, so a resume may change them freely.
   int jobs = 0;
-  std::uint64_t shard_size = 0;
   double trial_timeout_s = 0.0;
   int max_retries = -1;
   // In-process lockstep shard size (sim/batch.h); -1 = take the spec's
-  // value, 0 explicitly disables, > 1 replaces the worker pool with fused
-  // lockstep groups run on the supervisor thread.
+  // value, 0 explicitly disables, > 1 replaces the child processes with
+  // fused lockstep groups run on the supervisor thread.
   int shard = -1;
   // `resume` refuses to start a fresh journal; `run` creates one.
   bool require_existing_journal = false;
-  // Per-trial flight ring capacity for worker recorders (0 = full stream).
+  // Per-trial flight ring capacity for child recorders (0 = full stream).
   std::size_t flight_ring = 0;
 
   // Chaos knobs (CI crash audits; -1 / 0 = off).
-  std::int64_t chaos_kill_trial = -1;   // worker SIGKILLs itself on first
-                                        // dispatch of this trial index
-  std::int64_t chaos_hang_trial = -1;   // worker hangs on first dispatch
-                                        // (exercises the timeout path)
+  std::int64_t chaos_kill_trial = -1;   // this trial's child SIGKILLs
+                                        // itself on its first attempt
+  std::int64_t chaos_hang_trial = -1;   // this trial's child hangs on its
+                                        // first attempt (timeout path)
   std::uint64_t chaos_supervisor_kill_after = 0;  // raise(SIGKILL) after
                                                   // this many appends
 };
@@ -79,15 +81,13 @@ struct CampaignOutcome {
   // Runtime (host-dependent) bookkeeping; exported as volatile
   // campaign.* gauges so --metrics-stable snapshots stay identical
   // across crash histories.
-  std::uint64_t retries = 0;       // trial re-dispatch decisions
-  std::uint64_t redispatches = 0;  // in-flight indices returned to queue
-  std::uint64_t worker_crashes = 0;
+  std::uint64_t retries = 0;          // re-forks after a failed attempt
+  std::uint64_t worker_crashes = 0;   // failed attempts (timeouts included)
   std::uint64_t worker_timeouts = 0;
-  std::uint64_t workers_spawned = 0;
-  std::uint64_t pool_shrinks = 0;
+  std::uint64_t workers_spawned = 0;  // children forked, retries included
 };
 
-// Runs (or resumes) a campaign. Journal and stats writes, worker
+// Runs (or resumes) a campaign. Journal and stats writes, child process
 // lifecycle, obs artifact merging into the CALLING thread's installed
 // sinks, and campaign.* metrics all happen here. Returns rather than
 // throws: outcome.ok=false carries the reason.

@@ -4,12 +4,12 @@
 // TrialSeedSeq(root_seed).seed_for(index), the fault plan optionally
 // re-seeds from the same derivation — so run_campaign_trial() is a pure
 // function of its arguments. That purity is what makes the runtime's
-// crash story trivial: a retried, re-dispatched or resumed trial is just
-// the same function call again, and byte-identical output follows.
+// crash story trivial: a retried or resumed trial is just the same
+// function call again, and byte-identical output follows.
 //
 // The journal stores one line per completed trial. Doubles travel as raw
 // bit patterns (hex), not decimal, so encode(decode(line)) == line and a
-// resumed aggregation sees exactly the bits the original worker computed.
+// resumed aggregation sees exactly the bits the original child computed.
 // Every line carries an FNV-1a checksum over its body; a line whose
 // checksum fails (torn write, bit rot, hostile edit) is quarantined by
 // the journal loader and the trial simply re-runs.
@@ -57,7 +57,8 @@ TrialInputs derive_trial_inputs(const CampaignSpec& spec, std::uint64_t index);
 // Runs trial `index` of `spec` (inputs from derive_trial_inputs) to
 // completion in the calling thread, against whatever obs sinks are
 // installed. Throws on scenario construction or duel failure; the campaign
-// worker turns that into a crash-and-retry, never a half-recorded trial.
+// fails that trial at once (it would throw again on any retry), never
+// journaling a half-recorded one.
 TrialResult run_campaign_trial(const CampaignSpec& spec, std::uint64_t index);
 
 }  // namespace satin::campaign

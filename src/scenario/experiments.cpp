@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -350,12 +351,13 @@ DuelSweep run_forked_duel_sweep(
   for (std::size_t base = 0; base < config.trials; base += group_size) {
     // branches > remaining trials clamps to the tail group's size.
     const std::size_t count = std::min(group_size, config.trials - base);
+    std::vector<std::size_t> group(count);
+    std::iota(group.begin(), group.end(), base);
     sim::ForkServerOptions fork_options;
     fork_options.jobs = config.jobs;
     fork_options.timeout_s = config.fork_timeout_s;
     fork_options.max_retries = config.fork_retries;
     fork_options.flight_ring = config.flight_ring;
-    fork_options.index_base = base;
     fork_options.marker_seed = [&seeds](std::size_t global) {
       return seeds.seed_for(global);
     };
@@ -363,8 +365,7 @@ DuelSweep run_forked_duel_sweep(
     std::vector<std::string> payloads;
     if (config.fork_prefix_s <= 0.0) {
       sim::ForkServer server(fork_options);
-      payloads = server.run_collect(count, [&](std::size_t branch) {
-        const std::size_t index = base + branch;
+      payloads = server.run_collect(group, [&](std::size_t index) {
         const sim::TrialContext ctx{index, seeds.seed_for(index)};
         DuelConfig duel = config.duel;
         const ScenarioConfig scenario_config =
@@ -398,8 +399,7 @@ DuelSweep run_forked_duel_sweep(
             duel_trial_scenario_config(leader, leader_duel, customize);
         Scenario scenario(scenario_config);
         scenario.run_for(sim::Duration::from_sec_f(config.fork_prefix_s));
-        outcomes = server.run(count, [&](std::size_t branch) {
-          const std::size_t index = base + branch;
+        outcomes = server.run(group, [&](std::size_t index) {
           const sim::TrialContext ctx{index, seeds.seed_for(index)};
           DuelConfig duel = config.duel;
           ScenarioConfig discarded;  // scenario is already built pre-fork

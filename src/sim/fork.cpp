@@ -97,10 +97,18 @@ std::uint64_t ForkServer::record_checksum(const std::string& payload) {
   return h;
 }
 
+std::string trial_metrics_path(const std::string& dir, std::uint64_t index) {
+  return dir + "/trial_" + std::to_string(index) + ".met";
+}
+
+std::string trial_flight_path(const std::string& dir, std::uint64_t index) {
+  return dir + "/trial_" + std::to_string(index) + ".flt";
+}
+
 struct ForkServer::Slot {
   pid_t pid = -1;
   int fd = -1;  // child's result pipe (read end)
-  std::size_t branch = 0;
+  std::size_t pos = 0;  // position in indices_
   std::string buf;
   double last_activity = 0.0;
   bool resolved = false;  // an "R"/"E" record landed; EOF is expected
@@ -115,41 +123,44 @@ ForkServer::~ForkServer() {
   if (!scratch_.empty() && merged_) ::rmdir(scratch_.c_str());
 }
 
-std::string ForkServer::metrics_path_for(std::size_t branch) const {
-  return artifacts_dir_ + "/branch_" + std::to_string(branch) + ".met";
+void ForkServer::remove_artifacts(std::size_t index) const {
+  if (want_metrics_) {
+    ::unlink(trial_metrics_path(artifacts_dir_, index).c_str());
+  }
+  if (want_flight_) ::unlink(trial_flight_path(artifacts_dir_, index).c_str());
 }
 
-std::string ForkServer::flight_path_for(std::size_t branch) const {
-  return artifacts_dir_ + "/branch_" + std::to_string(branch) + ".flt";
-}
-
-void ForkServer::remove_artifacts(std::size_t branch) const {
-  if (want_metrics_) ::unlink(metrics_path_for(branch).c_str());
-  if (want_flight_) ::unlink(flight_path_for(branch).c_str());
-}
-
-void ForkServer::child_main(
-    std::size_t branch, bool first_attempt, int fd,
-    const std::function<std::string(std::size_t)>& body) {
+void ForkServer::child_main(std::size_t index, bool first_attempt, int fd) {
   // A dead parent must kill us on the next pipe write, not wedge us.
   signal(SIGPIPE, SIG_DFL);
-  if (!write_line(fd, "B " + std::to_string(branch))) _exit(3);
+  if (!write_line(fd, "B " + std::to_string(index))) _exit(3);
 
-  if (first_attempt &&
-      options_.chaos_kill_branch == static_cast<int>(branch)) {
-    raise(SIGKILL);
-  }
-  if (first_attempt &&
-      options_.chaos_hang_branch == static_cast<int>(branch)) {
+  const auto chaos = [&](int knob) {
+    return first_attempt && knob >= 0 &&
+           static_cast<std::size_t>(knob) == index;
+  };
+  if (chaos(options_.chaos_kill_branch)) raise(SIGKILL);
+  if (chaos(options_.chaos_hang_branch)) {
     for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
   std::string payload;
   std::string error;
   bool failed = false;
+  const auto run_body = [&] {
+    try {
+      payload = (*child_body_)(index);
+    } catch (const std::exception& e) {
+      failed = true;
+      error = e.what();
+    } catch (...) {
+      failed = true;
+      error = "unknown exception";
+    }
+  };
 
-  const std::string mpath = want_metrics_ ? metrics_path_for(branch) : "";
-  const std::string fpath = want_flight_ ? flight_path_for(branch) : "";
+  const std::string mpath = trial_metrics_path(artifacts_dir_, index);
+  const std::string fpath = trial_flight_path(artifacts_dir_, index);
 
   if (options_.inherit_sinks) {
     // The installed sinks are this process's COW copies of the caller's
@@ -158,16 +169,8 @@ void ForkServer::child_main(
     // the pipe — drop the inherited tracer so records aren't lost
     // silently into a copy (the parent warns once).
     obs::install_tracer(nullptr);
-    try {
-      payload = body(branch);
-    } catch (const std::exception& e) {
-      failed = true;
-      error = e.what();
-    } catch (...) {
-      failed = true;
-      error = "unknown exception";
-    }
-    // Artifacts are persisted even for a failed branch: the unforked
+    run_body();
+    // Artifacts are persisted even for a failed index: the unforked
     // TrialRunner merges partially-recorded sinks before rethrowing.
     if (auto* m = obs::metrics(); m != nullptr && want_metrics_) {
       std::string err;
@@ -187,17 +190,9 @@ void ForkServer::child_main(
       flight = std::make_unique<obs::FlightRecorder>(fopts);
     }
     TrialObsScope scope(metrics.get(), nullptr, flight.get());
-    try {
-      payload = body(branch);
-    } catch (const std::exception& e) {
-      failed = true;
-      error = e.what();
-    } catch (...) {
-      failed = true;
-      error = "unknown exception";
-    }
+    run_body();
     // Durable artifacts BEFORE the result record, so a record implies
-    // mergeable files (the campaign worker discipline).
+    // mergeable files.
     if (flight != nullptr && !flight->close()) _exit(4);
     if (metrics != nullptr) {
       std::string err;
@@ -207,33 +202,28 @@ void ForkServer::child_main(
 
   std::string line;
   if (failed) {
-    line = "E " + std::to_string(branch) + " " + sanitize_message(error);
+    line = "E " + std::to_string(index) + " " + sanitize_message(error);
   } else {
     std::string crc = hex16(record_checksum(payload));
-    if (first_attempt &&
-        options_.chaos_torn_branch == static_cast<int>(branch)) {
+    if (chaos(options_.chaos_torn_branch)) {
       // Simulate a torn pipe record: checksum no longer matches.
       crc[0] = crc[0] == '0' ? '1' : '0';
     }
-    line = "R " + std::to_string(branch) + " crc=" + crc + " " + payload;
+    line = "R " + std::to_string(index) + " crc=" + crc + " " + payload;
   }
   write_line(fd, line);
   _exit(failed ? 1 : 0);
 }
 
-bool ForkServer::spawn(std::size_t branch, std::vector<Slot>& active,
+bool ForkServer::spawn(std::size_t pos, std::vector<Slot>& active,
                        std::vector<int>& attempts) {
-  // A crashed prior attempt may have left partial artifacts; they must
-  // never leak into the merge.
-  remove_artifacts(branch);
-
   int fds[2];
   if (::pipe(fds) != 0) {
-    outcomes_[branch].error = "pipe() failed";
+    outcomes_[pos].error = "pipe() failed";
     return false;
   }
-  const bool first_attempt = attempts[branch] == 0;
-  ++attempts[branch];
+  const bool first_attempt = attempts[pos] == 0;
+  ++attempts[pos];
   // The child inherits our stdio buffers; flush so it can't re-flush
   // half-written output (it uses _exit, but body() code could flush).
   std::fflush(nullptr);
@@ -241,7 +231,7 @@ bool ForkServer::spawn(std::size_t branch, std::vector<Slot>& active,
   if (pid < 0) {
     ::close(fds[0]);
     ::close(fds[1]);
-    outcomes_[branch].error = "fork() failed";
+    outcomes_[pos].error = "fork() failed";
     return false;
   }
   if (pid == 0) {
@@ -251,14 +241,13 @@ bool ForkServer::spawn(std::size_t branch, std::vector<Slot>& active,
     for (const Slot& s : active) {
       if (s.fd >= 0) ::close(s.fd);
     }
-    child_main(branch, first_attempt, fds[1],
-               *child_body_);  // never returns
+    child_main(indices_[pos], first_attempt, fds[1]);  // never returns
   }
   ::close(fds[1]);
   Slot slot;
   slot.pid = pid;
   slot.fd = fds[0];
-  slot.branch = branch;
+  slot.pos = pos;
   slot.last_activity = now_seconds();
   active.push_back(std::move(slot));
   ++forks_;
@@ -266,18 +255,23 @@ bool ForkServer::spawn(std::size_t branch, std::vector<Slot>& active,
 }
 
 std::vector<ForkOutcome> ForkServer::run(
-    std::size_t branches, const std::function<std::string(std::size_t)>& body) {
+    const std::vector<std::size_t>& indices, const Body& body,
+    const Settled& on_settled) {
   if (ran_) throw std::logic_error("ForkServer::run: single-use");
   ran_ = true;
-  outcomes_.assign(branches, ForkOutcome{});
-  if (branches == 0) return outcomes_;
+  indices_ = indices;
+  outcomes_.assign(indices_.size(), ForkOutcome{});
+  const auto settle = [&](std::size_t pos) {
+    if (on_settled) on_settled(indices_[pos], outcomes_[pos]);
+  };
+  if (indices_.empty()) return outcomes_;
   const double wall_start = now_seconds();
 
   want_metrics_ = obs::metrics() != nullptr;
   want_flight_ = obs::flight() != nullptr;
   if (obs::tracer() != nullptr) {
     std::fprintf(stderr,
-                 "fork: per-branch traces are not captured across fork(); "
+                 "fork: per-trial traces are not captured across fork(); "
                  "run unforked for --trace\n");
   }
   artifacts_dir_ = options_.scratch_dir;
@@ -289,7 +283,10 @@ std::vector<ForkOutcome> ForkServer::run(
     std::vector<char> buf(templ.begin(), templ.end());
     buf.push_back('\0');
     if (::mkdtemp(buf.data()) == nullptr) {
-      for (auto& o : outcomes_) o.error = "mkdtemp() failed";
+      for (std::size_t pos = 0; pos < outcomes_.size(); ++pos) {
+        outcomes_[pos].error = "mkdtemp() failed";
+        settle(pos);
+      }
       return outcomes_;
     }
     scratch_ = buf.data();
@@ -297,15 +294,15 @@ std::vector<ForkOutcome> ForkServer::run(
   }
 
   int jobs = options_.jobs > 0 ? options_.jobs : TrialRunner::hardware_jobs();
-  if (static_cast<std::size_t>(jobs) > branches) {
-    jobs = static_cast<int>(branches);
+  if (static_cast<std::size_t>(jobs) > indices_.size()) {
+    jobs = static_cast<int>(indices_.size());
   }
   if (jobs < 1) jobs = 1;
 
   child_body_ = &body;
-  std::deque<std::size_t> queue;
-  for (std::size_t i = 0; i < branches; ++i) queue.push_back(i);
-  std::vector<int> attempts(branches, 0);
+  std::deque<std::size_t> queue;  // positions in indices_
+  for (std::size_t pos = 0; pos < indices_.size(); ++pos) queue.push_back(pos);
+  std::vector<int> attempts(indices_.size(), 0);
   std::vector<Slot> active;
   active.reserve(static_cast<std::size_t>(jobs));
 
@@ -323,49 +320,48 @@ std::vector<ForkOutcome> ForkServer::run(
     }
     ++crashes_;
     if (timed_out) ++timeouts_;
-    const std::size_t branch = slot.branch;
-    if (attempts[branch] > options_.max_retries) {
-      outcomes_[branch].ok = false;
-      outcomes_[branch].error = "branch " + std::to_string(branch) + " " +
-                                reason + " after " +
-                                std::to_string(attempts[branch]) +
-                                " attempt(s)";
-      outcomes_[branch].attempts = attempts[branch];
-      remove_artifacts(branch);
+    const std::size_t pos = slot.pos;
+    // A crashed attempt may have left partial artifacts; they must never
+    // leak into a merge or survive a retry.
+    remove_artifacts(indices_[pos]);
+    if (attempts[pos] > options_.max_retries) {
+      outcomes_[pos].ok = false;
+      outcomes_[pos].error = "trial " + std::to_string(indices_[pos]) + " " +
+                             reason + " after " +
+                             std::to_string(attempts[pos]) + " attempt(s)";
+      outcomes_[pos].attempts = attempts[pos];
+      settle(pos);
       return;
     }
     ++retries_;
     // Exponential backoff before the re-fork: a systematic crash loop
     // shouldn't melt the host while it burns its budget.
-    const int shift = std::min(attempts[branch] - 1, 8);
+    const int shift = std::min(attempts[pos] - 1, 8);
     std::this_thread::sleep_for(std::chrono::milliseconds(
         std::min(kBackoffCapMs, kBackoffBaseMs << shift)));
-    queue.push_front(branch);
+    queue.push_front(pos);
   };
 
   // One line of child protocol. Returns false when the slot must be
   // treated as crashed (kill + retry ladder).
   const auto handle_line = [&](Slot& slot, const std::string& line) -> bool {
     slot.last_activity = now_seconds();
+    if (slot.resolved) return true;  // settled exactly once; ignore the rest
     if (line.rfind("B ", 0) == 0) return true;  // heartbeat
+    const std::string index = std::to_string(indices_[slot.pos]);
+    ForkOutcome& out = outcomes_[slot.pos];
     if (line.rfind("E ", 0) == 0) {
       std::size_t sp = line.find(' ', 2);
       const std::string idx_str =
           line.substr(2, sp == std::string::npos ? std::string::npos : sp - 2);
-      if (idx_str != std::to_string(slot.branch)) return false;
-      ForkOutcome& out = outcomes_[slot.branch];
+      if (idx_str != index) return false;
       out.ok = false;
-      out.error = sp == std::string::npos ? "branch failed"
+      out.error = sp == std::string::npos ? "trial failed"
                                           : line.substr(sp + 1);
-      out.attempts = attempts[slot.branch];
-      out.has_artifacts = true;  // child persisted sinks before "E"
-      slot.resolved = true;
-      return true;
-    }
-    if (line.rfind("R ", 0) == 0) {
+    } else if (line.rfind("R ", 0) == 0) {
       const std::size_t sp = line.find(' ', 2);
       if (sp == std::string::npos) return false;
-      if (line.substr(2, sp - 2) != std::to_string(slot.branch)) return false;
+      if (line.substr(2, sp - 2) != index) return false;
       if (line.compare(sp + 1, 4, "crc=") != 0) return false;
       const std::size_t crc_begin = sp + 5;
       const std::size_t crc_end = line.find(' ', crc_begin);
@@ -376,26 +372,27 @@ std::vector<ForkOutcome> ForkServer::run(
               crc)) {
         return false;
       }
-      const std::string payload = line.substr(crc_end + 1);
+      std::string payload = line.substr(crc_end + 1);
       if (record_checksum(payload) != crc) return false;  // torn record
-      ForkOutcome& out = outcomes_[slot.branch];
       out.ok = true;
-      out.payload = payload;
+      out.payload = std::move(payload);
       out.error.clear();
-      out.attempts = attempts[slot.branch];
-      out.has_artifacts = true;
-      slot.resolved = true;
-      return true;
+    } else {
+      return false;  // protocol violation
     }
-    return false;  // protocol violation
+    out.attempts = attempts[slot.pos];
+    out.has_artifacts = true;  // the child persisted its sinks first
+    slot.resolved = true;
+    settle(slot.pos);
+    return true;
   };
 
   while (!queue.empty() || !active.empty()) {
     while (!queue.empty() &&
            active.size() < static_cast<std::size_t>(jobs)) {
-      const std::size_t branch = queue.front();
+      const std::size_t pos = queue.front();
       queue.pop_front();
-      spawn(branch, active, attempts);  // failure recorded in outcomes_
+      if (!spawn(pos, active, attempts)) settle(pos);
     }
     if (active.empty()) break;  // spawns failed outright
 
@@ -442,8 +439,8 @@ std::vector<ForkOutcome> ForkServer::run(
           now_seconds() - slot.last_activity > options_.timeout_s &&
           !slot.resolved) {
         std::fprintf(stderr,
-                     "fork: branch %zu (pid %d) wedged for %.1fs, killing\n",
-                     slot.branch, static_cast<int>(slot.pid),
+                     "fork: trial %zu (pid %d) wedged for %.1fs, killing\n",
+                     indices_[slot.pos], static_cast<int>(slot.pid),
                      options_.timeout_s);
         fail_attempt(slot, /*timed_out=*/true, "timed out");
         dead.push_back(k);
@@ -482,39 +479,40 @@ void ForkServer::merge_obs() {
   merged_ = true;
   obs::MetricsRegistry* metrics = obs::metrics();
   obs::FlightRecorder* flight = obs::flight();
-  for (std::size_t i = 0; i < outcomes_.size(); ++i) {
-    if (!outcomes_[i].has_artifacts) continue;
+  for (std::size_t pos = 0; pos < outcomes_.size(); ++pos) {
+    if (!outcomes_[pos].has_artifacts) continue;
+    const std::size_t index = indices_[pos];
     if (metrics != nullptr && want_metrics_) {
       std::string error;
-      if (!metrics->load_merge_binary(metrics_path_for(i), &error)) {
+      if (!metrics->load_merge_binary(
+              trial_metrics_path(artifacts_dir_, index), &error)) {
         std::fprintf(stderr, "fork: %s (metrics gap)\n", error.c_str());
       }
     }
     if (flight != nullptr && want_flight_) {
       obs::FlightLog log;
       std::string error;
-      if (!obs::read_flight_log(flight_path_for(i), log, &error)) {
+      if (!obs::read_flight_log(trial_flight_path(artifacts_dir_, index), log,
+                                &error)) {
         std::fprintf(stderr, "fork: %s (flight gap)\n", error.c_str());
       } else {
         // Same convention as TrialRunner's submission-order merge: the
-        // parent emits the trial marker, then replays the branch stream.
-        const std::size_t global = options_.index_base + i;
+        // parent emits the trial marker, then replays the child's stream.
         flight->record(obs::FlightKind::kTrialBegin, Time::zero(),
-                       static_cast<std::uint64_t>(global),
-                       static_cast<int>(global),
-                       options_.marker_seed ? options_.marker_seed(global)
-                                            : 0);
+                       static_cast<std::uint64_t>(index),
+                       static_cast<int>(index),
+                       options_.marker_seed ? options_.marker_seed(index) : 0);
         obs::replay_flight_log(log, *flight);
       }
     }
-    remove_artifacts(i);
+    remove_artifacts(index);
   }
   if (!scratch_.empty()) ::rmdir(scratch_.c_str());
 }
 
 std::vector<std::string> ForkServer::run_collect(
-    std::size_t branches, const std::function<std::string(std::size_t)>& body) {
-  const std::vector<ForkOutcome> outcomes = run(branches, body);
+    const std::vector<std::size_t>& indices, const Body& body) {
+  const std::vector<ForkOutcome> outcomes = run(indices, body);
   merge_obs();
   for (const ForkOutcome& o : outcomes) {
     if (!o.ok) throw std::runtime_error(o.error);

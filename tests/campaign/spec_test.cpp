@@ -28,7 +28,6 @@ TEST(CampaignSpec, MinimalSpecGetsDefaults) {
   EXPECT_EQ(spec.trials, 4u);
   EXPECT_EQ(spec.name, "campaign");
   EXPECT_EQ(spec.jobs, 1);
-  EXPECT_EQ(spec.shard_size, 1u);
   EXPECT_EQ(spec.max_retries, 2);
   EXPECT_TRUE(spec.faults.empty());
   EXPECT_FALSE(spec.pin_first_platform_seed);
@@ -40,7 +39,6 @@ TEST(CampaignSpec, FullSpecRoundTripsEveryKnob) {
     "trials": 16,
     "root_seed": 99,
     "jobs": 4,
-    "shard_size": 2,
     "shard": 4,
     "trial_timeout_s": 33.5,
     "max_retries": 5,
@@ -56,7 +54,6 @@ TEST(CampaignSpec, FullSpecRoundTripsEveryKnob) {
   EXPECT_EQ(spec.trials, 16u);
   EXPECT_EQ(spec.root_seed, 99u);
   EXPECT_EQ(spec.jobs, 4);
-  EXPECT_EQ(spec.shard_size, 2u);
   EXPECT_EQ(spec.shard, 4);
   EXPECT_DOUBLE_EQ(spec.trial_timeout_s, 33.5);
   EXPECT_EQ(spec.max_retries, 5);
@@ -138,6 +135,16 @@ TEST(CampaignSpec, BranchesAndForkPrefixAreRejectedAsUnknown) {
   }
 }
 
+// "shard_size" once set how many trial indices the persistent worker
+// pool dispatched per worker; with one child process per trial it has
+// nothing to tune, so it fails like any typo.
+TEST(CampaignSpec, ShardSizeIsRejectedAsUnknown) {
+  const std::string what = parse_error("{\"trials\": 1,\n \"shard_size\": 2}");
+  EXPECT_NE(what.find("unknown key"), std::string::npos) << what;
+  EXPECT_NE(what.find("\"shard_size\""), std::string::npos) << what;
+  EXPECT_NE(what.find("spec.json:2"), std::string::npos) << what;
+}
+
 TEST(CampaignSpec, ContentHashCoversResultShapingFields) {
   const CampaignSpec a = parse_campaign_spec(R"({"trials": 4})", "a");
   CampaignSpec b = a;
@@ -156,7 +163,6 @@ TEST(CampaignSpec, ContentHashIgnoresRuntimeKnobs) {
   const CampaignSpec a = parse_campaign_spec(R"({"trials": 4})", "a");
   CampaignSpec b = a;
   b.jobs = 16;
-  b.shard_size = 8;
   b.shard = 4;
   b.trial_timeout_s = 1.0;
   b.max_retries = 9;

@@ -1,13 +1,16 @@
-// End-to-end supervisor tests: real fork()ed workers, real pipes, real
-// SIGKILLs (via the deterministic chaos knobs). Duels are kept tiny so
-// the whole file runs in seconds.
+// End-to-end supervisor tests: real fork()ed trial children, real pipes,
+// real SIGKILLs (via the deterministic chaos knobs). Duels are kept tiny
+// so the whole file runs in seconds.
 #include "campaign/supervisor.h"
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <string>
 
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "campaign/journal.h"
@@ -64,7 +67,7 @@ TEST_F(SupervisorTest, RunsACampaignToCompletion) {
   EXPECT_FALSE(outcome.degraded);
   EXPECT_EQ(outcome.completed, spec_.trials);
   EXPECT_EQ(outcome.worker_crashes, 0u);
-  EXPECT_EQ(outcome.workers_spawned, 2u);
+  EXPECT_EQ(outcome.workers_spawned, spec_.trials);  // one child per trial
 
   CampaignJournal::Status status;
   std::string error;
@@ -91,7 +94,8 @@ TEST_F(SupervisorTest, WorkerSigkillRetriesAndStatsStayIdentical) {
   const CampaignOutcome ref_outcome = run_campaign(spec_, ref);
   ASSERT_TRUE(ref_outcome.ok) << ref_outcome.error;
 
-  // Chaos: two workers, one SIGKILLs itself on trial 2's first dispatch.
+  // Chaos: two at a time; trial 2's child SIGKILLs itself on its first
+  // attempt.
   CampaignOptions chaos = options(".b.journal");
   chaos.jobs = 2;
   chaos.chaos_kill_trial = 2;
@@ -109,6 +113,58 @@ TEST_F(SupervisorTest, WorkerSigkillRetriesAndStatsStayIdentical) {
   ASSERT_TRUE(b.open(chaos.journal_path, spec_, &error)) << error;
   EXPECT_EQ(format_campaign_stats(spec_, ref_outcome, a.completed()),
             format_campaign_stats(spec_, chaos_outcome, b.completed()));
+}
+
+TEST_F(SupervisorTest, SupervisorKilledMidCampaignResumesToIdenticalStats) {
+  CampaignOptions ref = options();
+  ref.jobs = 1;
+  const CampaignOutcome ref_outcome = run_campaign(spec_, ref);
+  ASSERT_TRUE(ref_outcome.ok) << ref_outcome.error;
+
+  // The supervisor SIGKILLs itself right after its second fsync'd
+  // append. It runs in a forked child, so the kill takes only that.
+  CampaignOptions chaos = options(".b.journal");
+  chaos.jobs = 1;
+  chaos.chaos_supervisor_kill_after = 2;
+  std::fflush(nullptr);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    run_campaign(spec_, chaos);
+    _exit(0);  // only reached if the kill never fired
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status)) << "exit status " << status;
+  EXPECT_EQ(WTERMSIG(status), SIGKILL);
+
+  // Trials are journaled as they land: with one child at a time, the kill
+  // followed trial 1's append, before trials 2 and 3 were ever forked. A
+  // supervisor that journaled only after every trial had run would have
+  // left their artifacts behind.
+  CampaignJournal::Status progress;
+  std::string error;
+  ASSERT_TRUE(CampaignJournal::read_status(chaos.journal_path, progress,
+                                           &error)) << error;
+  EXPECT_EQ(progress.completed, 2u);
+  struct stat st{};
+  for (const char* trial : {"/trial_2.met", "/trial_3.met"}) {
+    EXPECT_NE(::stat((chaos.journal_path + ".d" + trial).c_str(), &st), 0)
+        << trial;
+  }
+
+  // An in-process resume finishes the campaign to the same stats.
+  chaos.chaos_supervisor_kill_after = 0;
+  chaos.require_existing_journal = true;
+  const CampaignOutcome resumed = run_campaign(spec_, chaos);
+  ASSERT_TRUE(resumed.ok) << resumed.error;
+  EXPECT_EQ(resumed.resumed, 2u);
+  EXPECT_EQ(resumed.workers_spawned, spec_.trials - 2);
+  CampaignJournal a, b;
+  ASSERT_TRUE(a.open(ref.journal_path, spec_, &error)) << error;
+  ASSERT_TRUE(b.open(chaos.journal_path, spec_, &error)) << error;
+  EXPECT_EQ(format_campaign_stats(spec_, ref_outcome, a.completed()),
+            format_campaign_stats(spec_, resumed, b.completed()));
 }
 
 TEST_F(SupervisorTest, ShardBackendMatchesThePoolStats) {
@@ -137,7 +193,7 @@ TEST_F(SupervisorTest, ShardBackendMatchesThePoolStats) {
   ASSERT_TRUE(shard_outcome.ok) << shard_outcome.error;
   EXPECT_FALSE(shard_outcome.degraded);
   EXPECT_EQ(shard_outcome.completed, spec_.trials);
-  // No worker process — the evidence the shard path (not the pool) ran.
+  // No child process — the evidence the shard path ran.
   EXPECT_EQ(shard_outcome.workers_spawned, 0u);
 
   std::string error;
@@ -156,7 +212,7 @@ TEST_F(SupervisorTest, ShardBackendMatchesThePoolStats) {
 TEST_F(SupervisorTest, ShardBackendRefusesChaos) {
   CampaignOptions chaos = options();
   chaos.shard = 2;
-  chaos.chaos_kill_trial = 1;  // pool-only chaos knob
+  chaos.chaos_kill_trial = 1;  // needs a child process to kill
   const CampaignOutcome outcome = run_campaign(spec_, chaos);
   EXPECT_FALSE(outcome.ok);
   EXPECT_NE(outcome.error.find("chaos"), std::string::npos) << outcome.error;

@@ -1,27 +1,47 @@
 // ForkServer failure ladder + determinism contract (sim/fork.h).
 //
-// The COW fork backend earns its keep only if (a) every failure mode —
-// SIGKILL mid-branch, silent wedge, torn pipe record — resolves to
-// exactly-once results via the retry ladder with no orphan processes
-// left behind, and (b) the zero-prefix forked sweep is indistinguishable
-// from the unforked run of record. Both halves are pinned here.
+// ForkServer earns its keep only if (a) every failure mode — SIGKILL
+// mid-trial, silent wedge, torn pipe record — resolves to exactly-once
+// results via the retry ladder with no orphan processes left behind,
+// each index settling once, in the parent, under its global index; and
+// (b) the zero-prefix forked sweep is indistinguishable from the unforked
+// run of record. Both halves are pinned here.
 #include <gtest/gtest.h>
 
 #include <cerrno>
 #include <csignal>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include <sys/stat.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include "obs/flight/recorder.h"
+#include "obs/metrics.h"
 #include "scenario/experiments.h"
 #include "sim/fork.h"
+#include "sim/parallel.h"
 
 namespace satin {
 namespace {
 
-std::string tag(std::size_t branch) {
-  return "payload-" + std::to_string(branch);
+std::string tag(std::size_t index) {
+  return "payload-" + std::to_string(index);
+}
+
+// Indices 0..n-1, the shape every sweep group before the last one has.
+std::vector<std::size_t> first(std::size_t n) {
+  std::vector<std::size_t> indices(n);
+  for (std::size_t i = 0; i < n; ++i) indices[i] = i;
+  return indices;
+}
+
+bool exists(const std::string& path) {
+  struct stat st{};
+  return ::stat(path.c_str(), &st) == 0;
 }
 
 // After a run every child must be reaped: waitpid(-1) with no children
@@ -37,7 +57,7 @@ void expect_no_orphans() {
 TEST(ForkServer, RunsEveryBranchExactlyOnce) {
   sim::ForkServer server;
   const auto outcomes =
-      server.run(5, [](std::size_t branch) { return tag(branch); });
+      server.run(first(5), [](std::size_t index) { return tag(index); });
   ASSERT_EQ(outcomes.size(), 5u);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     EXPECT_TRUE(outcomes[i].ok) << outcomes[i].error;
@@ -55,7 +75,7 @@ TEST(ForkServer, SigkilledChildIsRetriedExactlyOnce) {
   options.chaos_kill_branch = 1;  // dies after its heartbeat, first try only
   sim::ForkServer server(options);
   const auto outcomes =
-      server.run(3, [](std::size_t branch) { return tag(branch); });
+      server.run(first(3), [](std::size_t index) { return tag(index); });
   ASSERT_EQ(outcomes.size(), 3u);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     EXPECT_TRUE(outcomes[i].ok) << outcomes[i].error;
@@ -76,7 +96,7 @@ TEST(ForkServer, WedgedChildIsKilledPastTheHeartbeatTimeout) {
   options.timeout_s = 0.3;
   sim::ForkServer server(options);
   const auto outcomes =
-      server.run(2, [](std::size_t branch) { return tag(branch); });
+      server.run(first(2), [](std::size_t index) { return tag(index); });
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
   EXPECT_EQ(outcomes[0].payload, tag(0));
@@ -92,7 +112,7 @@ TEST(ForkServer, TornRecordIsDiscardedAndRetried) {
   options.chaos_torn_branch = 2;  // first record's checksum is corrupted
   sim::ForkServer server(options);
   const auto outcomes =
-      server.run(3, [](std::size_t branch) { return tag(branch); });
+      server.run(first(3), [](std::size_t index) { return tag(index); });
   ASSERT_EQ(outcomes.size(), 3u);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     EXPECT_TRUE(outcomes[i].ok) << outcomes[i].error;
@@ -106,9 +126,9 @@ TEST(ForkServer, TornRecordIsDiscardedAndRetried) {
 
 TEST(ForkServer, DeterministicExceptionIsNotRetried) {
   sim::ForkServer server;
-  const auto outcomes = server.run(3, [](std::size_t branch) {
-    if (branch == 1) throw std::runtime_error("knob out of range");
-    return tag(branch);
+  const auto outcomes = server.run(first(3), [](std::size_t index) {
+    if (index == 1) throw std::runtime_error("knob out of range");
+    return tag(index);
   });
   ASSERT_EQ(outcomes.size(), 3u);
   EXPECT_TRUE(outcomes[0].ok);
@@ -123,10 +143,10 @@ TEST(ForkServer, DeterministicExceptionIsNotRetried) {
 TEST(ForkServer, RunCollectRethrowsTheLowestIndexError) {
   sim::ForkServer server;
   try {
-    server.run_collect(4, [](std::size_t branch) {
-      if (branch == 1) throw std::runtime_error("branch one failed");
-      if (branch == 3) throw std::runtime_error("branch three failed");
-      return tag(branch);
+    server.run_collect(first(4), [](std::size_t index) {
+      if (index == 1) throw std::runtime_error("branch one failed");
+      if (index == 3) throw std::runtime_error("branch three failed");
+      return tag(index);
     });
     FAIL() << "run_collect did not throw";
   } catch (const std::runtime_error& e) {
@@ -141,9 +161,9 @@ TEST(ForkServer, RetryBudgetExhaustionReportsTheFailure) {
   sim::ForkServer server(options);
   // Unlike the chaos knobs (first attempt only), this crash is
   // systematic: every attempt dies, so the ladder must give up.
-  const auto outcomes = server.run(2, [](std::size_t branch) {
-    if (branch == 0) raise(SIGKILL);
-    return tag(branch);
+  const auto outcomes = server.run(first(2), [](std::size_t index) {
+    if (index == 0) raise(SIGKILL);
+    return tag(index);
   });
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_FALSE(outcomes[0].ok);
@@ -151,6 +171,105 @@ TEST(ForkServer, RetryBudgetExhaustionReportsTheFailure) {
       << outcomes[0].error;
   EXPECT_EQ(outcomes[0].attempts, 2);  // initial + max_retries
   EXPECT_TRUE(outcomes[1].ok);
+  expect_no_orphans();
+}
+
+TEST(ForkServer, NonContiguousIndicesKeepTheirGlobalIdentity) {
+  std::string dir = testing::TempDir() + "/fork_indices_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  obs::MetricsRegistry metrics;
+  obs::FlightRecorder flight;  // in-memory
+  sim::TrialObsScope sinks(&metrics, nullptr, &flight);
+
+  sim::ForkServerOptions options;
+  options.scratch_dir = dir;
+  options.marker_seed = [](std::size_t index) { return 1000 + index; };
+  sim::ForkServer server(options);
+  const std::vector<std::size_t> indices = {5, 2, 9};
+  const auto outcomes = server.run(indices, [](std::size_t index) {
+    obs::metrics()->counter("test.index_sum").inc(index);
+    return tag(index);
+  });
+  ASSERT_EQ(outcomes.size(), indices.size());
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    EXPECT_TRUE(outcomes[k].ok) << outcomes[k].error;
+    EXPECT_EQ(outcomes[k].payload, tag(indices[k]));  // body saw index
+    // Artifacts are named by index, and survive until merge_obs().
+    EXPECT_TRUE(exists(sim::trial_metrics_path(dir, indices[k])));
+    EXPECT_TRUE(exists(sim::trial_flight_path(dir, indices[k])));
+  }
+  EXPECT_EQ(sim::trial_metrics_path(dir, 5), dir + "/trial_5.met");
+  EXPECT_EQ(sim::trial_flight_path(dir, 5), dir + "/trial_5.flt");
+
+  server.merge_obs();
+  EXPECT_EQ(metrics.counter("test.index_sum").value(), 16u);
+  std::vector<int> markers;
+  for (const obs::FlightRecord& r : flight.snapshot()) {
+    if (r.kind != static_cast<std::uint16_t>(obs::FlightKind::kTrialBegin)) {
+      continue;
+    }
+    markers.push_back(r.actor);
+    EXPECT_EQ(r.seq, static_cast<std::uint64_t>(r.actor));
+    EXPECT_EQ(r.payload, 1000u + static_cast<std::uint64_t>(r.actor));
+  }
+  EXPECT_EQ(markers, (std::vector<int>{5, 2, 9}));  // run()'s order
+  for (std::size_t index : indices) {
+    EXPECT_FALSE(exists(sim::trial_metrics_path(dir, index)));
+    EXPECT_FALSE(exists(sim::trial_flight_path(dir, index)));
+  }
+  ::rmdir(dir.c_str());
+  expect_no_orphans();
+}
+
+TEST(ForkServer, OnSettledFiresOncePerIndexInTheParentBeforeRunReturns) {
+  sim::ForkServerOptions options;
+  options.chaos_kill_branch = 7;  // first attempt dies, the retry lands
+  sim::ForkServer server(options);
+  const pid_t parent = ::getpid();
+  std::map<std::size_t, int> calls;
+  std::map<std::size_t, sim::ForkOutcome> seen;
+  const auto outcomes = server.run(
+      {3, 7, 4},
+      [](std::size_t index) {
+        if (index == 4) throw std::runtime_error("index four threw");
+        return tag(index);
+      },
+      [&](std::size_t index, const sim::ForkOutcome& settled) {
+        EXPECT_EQ(::getpid(), parent);
+        ++calls[index];
+        seen[index] = settled;
+      });
+  // Every index settled exactly once, and the callback saw the final
+  // outcome: the chaos-killed index after its retry, the throw as "E".
+  EXPECT_EQ(calls, (std::map<std::size_t, int>{{3, 1}, {4, 1}, {7, 1}}));
+  ASSERT_EQ(outcomes.size(), 3u);
+  EXPECT_TRUE(seen[3].ok);
+  EXPECT_EQ(seen[3].payload, tag(3));
+  EXPECT_TRUE(seen[7].ok);
+  EXPECT_EQ(seen[7].payload, tag(7));
+  EXPECT_EQ(seen[7].attempts, 2);
+  EXPECT_EQ(outcomes[1].attempts, 2);
+  EXPECT_FALSE(seen[4].ok);
+  EXPECT_EQ(seen[4].error, "index four threw");
+  EXPECT_EQ(seen[4].attempts, 1);
+  EXPECT_EQ(server.retries(), 1u);
+  expect_no_orphans();
+}
+
+TEST(ForkServer, OnSettledReportsAnExhaustedRetryBudget) {
+  sim::ForkServerOptions options;
+  options.max_retries = 0;
+  options.chaos_kill_branch = 1;  // the only attempt dies
+  sim::ForkServer server(options);
+  std::map<std::size_t, int> calls;
+  bool failed_ok = true;
+  server.run(first(2), [](std::size_t index) { return tag(index); },
+             [&](std::size_t index, const sim::ForkOutcome& settled) {
+               ++calls[index];
+               if (index == 1) failed_ok = settled.ok;
+             });
+  EXPECT_EQ(calls, (std::map<std::size_t, int>{{0, 1}, {1, 1}}));
+  EXPECT_FALSE(failed_ok);
   expect_no_orphans();
 }
 

@@ -10,9 +10,10 @@
 // --flight= / --trace=):
 //   --journal=PATH    journal file     (default: SPEC + ".journal")
 //   --out=PATH        stats JSON       (default: SPEC + ".stats.json")
-//   --jobs=N          worker processes (default: spec's `jobs`)
+//   --jobs=N          concurrent trial child processes (default: spec's
+//                     `jobs`)
 //   --shard=N         in-process lockstep shard size (default: spec's
-//                     `shard`; 0 = the persistent worker pool)
+//                     `shard`; 0 = one child process per trial)
 //   --timeout=SECS    per-trial wedge timeout (default: spec's)
 //   --max-retries=N   per-trial retry budget  (default: spec's)
 //   --chaos-kill-trial=I / --chaos-hang-trial=I / --chaos-kill-after=N
@@ -20,7 +21,8 @@
 //
 // A malformed numeric flag value exits 2. The sweep-only fork flags
 // --branches= / --fork-prefix= are refused with exit 2: a campaign runs
-// on the worker pool or, with --shard=N, in-process lockstep shards.
+// one child process per trial or, with --shard=N, in-process lockstep
+// shards.
 //
 // Exit codes: 0 = campaign complete, 2 = usage / spec / journal error,
 // 3 = campaign finished DEGRADED (some trials permanently failed; partial
@@ -152,16 +154,16 @@ int cmd_run(int argc, char** argv, bool resume, int jobs_override) {
     return 2;
   }
   std::printf("campaign     %s\n", spec.name.c_str());
+  std::printf("jobs         %d\n",
+              options.jobs > 0 ? options.jobs : spec.jobs);
   std::printf("trials       %" PRIu64 "\n", outcome.trials);
   std::printf("completed    %" PRIu64 "\n", outcome.completed);
   std::printf("resumed      %" PRIu64 "\n", outcome.resumed);
   std::printf("quarantined  %" PRIu64 "\n", outcome.quarantined);
   std::printf("retries      %" PRIu64 "\n", outcome.retries);
-  std::printf("redispatches %" PRIu64 "\n", outcome.redispatches);
   std::printf("crashes      %" PRIu64 " (%" PRIu64 " timeouts)\n",
               outcome.worker_crashes, outcome.worker_timeouts);
-  std::printf("workers      %" PRIu64 " spawned, %" PRIu64 " slots retired\n",
-              outcome.workers_spawned, outcome.pool_shrinks);
+  std::printf("workers      %" PRIu64 " spawned\n", outcome.workers_spawned);
   std::printf("stats        %s\n", options.stats_path.c_str());
   if (outcome.degraded) {
     std::fprintf(stderr,
@@ -181,15 +183,15 @@ int main(int argc, char** argv) {
     for (const char* flag : {"--branches=", "--fork-prefix="}) {
       if (std::strncmp(argv[i], flag, std::strlen(flag)) == 0) {
         std::fprintf(stderr,
-                     "satin_campaign: %s is a sweep flag; campaigns run on "
-                     "the worker pool or --shard=N\n",
+                     "satin_campaign: %s is a sweep flag; campaigns run "
+                     "one child process per trial or --shard=N\n",
                      argv[i]);
         return 2;
       }
     }
   }
   // Installs --metrics= / --metrics-stable / --flight= / --trace= sinks
-  // for this (supervisor) thread; the campaign merges worker artifacts
+  // for this (supervisor) thread; the campaign merges per-trial artifacts
   // into them in index order before the session flushes at exit.
   satin::obs::ObsSession session(argc, argv);
   if (argc < 2) return usage();

@@ -4,14 +4,14 @@
 //   satin_flightool stats FILE                 per-kind counts, span, chain
 //   satin_flightool diff  A B [--context=N]    first-divergence report
 //
-// Exit codes: 0 = ok / identical, 1 = divergence found, 2 = usage or
-// read error. CI's divergence-audit job gates directly on these.
+// Exit codes: 0 = ok / identical, 1 = divergence found, 2 = usage, read
+// error or a malformed --limit= / --context= value. CI's divergence-audit
+// job gates directly on these.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "obs/flight/audit.h"
+#include "obs/session.h"
 
 namespace {
 
@@ -27,23 +27,14 @@ int usage() {
   return 2;
 }
 
-// Parses "--<key>=<value>" out of argv; returns fallback when absent.
+// Parses "--<key>=<value>" out of argv; returns fallback when absent. A
+// malformed value exits 2.
 std::size_t take_size_flag(int& argc, char** argv, const char* key,
                            std::size_t fallback) {
-  const std::string prefix = std::string("--") + key + "=";
-  std::size_t value = fallback;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      value = static_cast<std::size_t>(
-          std::strtoull(argv[i] + prefix.size(), nullptr, 10));
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argv[out] = nullptr;
-  argc = out;
-  return value;
+  const std::string value = satin::obs::take_flag(argc, argv, key);
+  if (value.empty()) return fallback;
+  return satin::obs::parse_number<std::size_t>(
+      (std::string("--") + key).c_str(), value);
 }
 
 bool load(const char* path, FlightLog& log) {
