@@ -14,7 +14,6 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -33,9 +32,9 @@ namespace {
 
 // Event-driven duel with the rootkit's trace forced to `offset`: a bare
 // evader (KProber + a rootkit whose single trace sits at the probe
-// offset) against the PKM baseline. Decomposed as a LockstepTrial so a
-// BatchRunner can interleave it with shard-mates; the --batch=1 path
-// drives the very same class to completion inline.
+// offset) against the PKM baseline. Decomposed as a LockstepTrial so
+// TrialRunner::run_sharded can interleave it with shard-mates; the
+// --batch=1 path drives the very same class to completion inline.
 class SpotDuelTrial final : public sim::LockstepTrial {
  public:
   // Staged construction for COW fork branching (sim/fork.h): the
@@ -228,106 +227,72 @@ int main(int argc, char** argv) {
     // staged trial per group — boot, prober deployment, warm-up, ramp —
     // and fork()s it, each child engaging its own trace offset against
     // the inherited copy-on-write image.
-    const double prefix_s = obs.fork_prefix_s();
     const sim::TrialSeedSeq seeds(duel_options.root_seed);
-    const auto fork_t0 = std::chrono::steady_clock::now();
-    for (std::size_t base = 0; base < kProbeCount;
-         base += static_cast<std::size_t>(branches)) {
-      const std::size_t count = std::min(static_cast<std::size_t>(branches),
-                                         kProbeCount - base);
-      std::vector<std::size_t> group(count);
-      std::iota(group.begin(), group.end(), base);
-      sim::ForkServerOptions fork_options;
-      fork_options.jobs = jobs;
-      fork_options.flight_ring = obs.flight_ring();
-      fork_options.marker_seed = [&seeds](std::size_t global) {
-        return seeds.seed_for(global);
-      };
-      std::vector<std::string> payloads;
-      if (prefix_s <= 0.0) {
-        sim::ForkServer server(fork_options);
-        payloads = server.run_collect(group, [&](std::size_t index) {
+    sim::ForkServerOptions fork_options;
+    fork_options.jobs = jobs;
+    fork_options.flight_ring = obs.flight_ring();
+    fork_options.marker_seed = [&seeds](std::size_t global) {
+      return seeds.seed_for(global);
+    };
+    const auto run_to_verdict = [](SpotDuelTrial& trial, char& c) {
+      while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
+      trial.finish();
+      return std::string(c ? "1" : "0");
+    };
+    sim::GroupPrefix warm_prefix;
+    if (obs.fork_prefix_s() > 0.0) {
+      warm_prefix = [&](std::size_t) -> sim::ForkServer::Body {
+        auto trial = std::make_shared<SpotDuelTrial>();
+        if (ramp_s > 0.0) trial->advance(sim::Duration::from_sec_f(ramp_s));
+        return [&, trial](std::size_t index) {
           char c = 0;
-          SpotDuelTrial trial(probes[index].offset, &c, ramp_s);
-          while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
-          trial.finish();
-          return std::string(c ? "1" : "0");
-        });
-      } else {
-        fork_options.inherit_sinks = true;
-        sim::ForkServer server(fork_options);
-        std::unique_ptr<obs::MetricsRegistry> group_metrics;
-        std::unique_ptr<obs::FlightRecorder> group_flight;
-        if (obs::metrics() != nullptr) {
-          group_metrics = std::make_unique<obs::MetricsRegistry>();
-        }
-        if (obs::flight() != nullptr) {
-          obs::FlightRecorderOptions flight_options;
-          flight_options.ring = obs.flight_ring();
-          group_flight =
-              std::make_unique<obs::FlightRecorder>(flight_options);
-        }
-        std::vector<sim::ForkOutcome> outcomes;
-        {
-          sim::TrialObsScope scope(group_metrics.get(), nullptr,
-                                   group_flight.get());
-          SpotDuelTrial trial;
-          if (ramp_s > 0.0) {
-            trial.advance(sim::Duration::from_sec_f(ramp_s));
-          }
-          outcomes = server.run(group, [&](std::size_t index) {
+          trial->engage(probes[index].offset, &c);
+          return run_to_verdict(*trial, c);
+        };
+      };
+    }
+    const auto fork_t0 = std::chrono::steady_clock::now();
+    try {
+      const std::vector<std::string> payloads = sim::run_fork_groups(
+          kProbeCount, static_cast<std::size_t>(branches), fork_options,
+          [&](std::size_t index) {
             char c = 0;
-            trial.engage(probes[index].offset, &c);
-            while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
-            trial.finish();
-            return std::string(c ? "1" : "0");
-          });
-        }
-        // Group scope dropped: the merge targets the session sinks.
-        server.merge_obs();
-        for (const sim::ForkOutcome& outcome : outcomes) {
-          if (!outcome.ok) {
-            std::fprintf(stderr, "bench_race_analysis: %s\n",
-                         outcome.error.c_str());
-            return 1;
-          }
-        }
-        payloads.reserve(outcomes.size());
-        for (sim::ForkOutcome& outcome : outcomes) {
-          payloads.push_back(std::move(outcome.payload));
-        }
+            SpotDuelTrial trial(probes[index].offset, &c, ramp_s);
+            return run_to_verdict(trial, c);
+          },
+          warm_prefix);
+      for (std::size_t i = 0; i < kProbeCount; ++i) {
+        caught[i] = static_cast<char>(payloads[i] == "1");
       }
-      for (std::size_t branch = 0; branch < payloads.size(); ++branch) {
-        caught[base + branch] = static_cast<char>(payloads[branch] == "1");
-      }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "bench_race_analysis: %s\n", e.what());
+      return 1;
     }
     duel_trials = kProbeCount;
     duel_wall_s = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - fork_t0)
                       .count();
-  } else if (batch > 1) {
-    // Lockstep shards of K trials; output rows are byte-identical to the
-    // one-at-a-time path below for every K.
-    sim::BatchRunnerOptions batch_options;
-    batch_options.batch = static_cast<std::size_t>(batch);
-    batch_options.runner = duel_options;
-    sim::BatchRunner duel_runner(batch_options);
-    duel_runner.run(kProbeCount, [&probes, &caught, ramp_s](
-                                     const sim::TrialContext& ctx) {
-      return std::make_unique<SpotDuelTrial>(probes[ctx.index].offset,
-                                             &caught[ctx.index], ramp_s);
-    });
-    duel_trials = duel_runner.trials_run();
-    duel_wall_s = duel_runner.wall_seconds();
   } else {
+    // --batch=K: lockstep shards of K trials; output rows are
+    // byte-identical to --batch=1 (one trial at a time) for every K.
     sim::TrialRunner duel_runner(duel_options);
-    duel_runner.run(kProbeCount, [&probes, &caught, ramp_s](
-                                     const sim::TrialContext& ctx) {
-      SpotDuelTrial trial(probes[ctx.index].offset, &caught[ctx.index],
-                          ramp_s);
-      while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
-      trial.finish();
-    });
+    if (batch > 1) {
+      duel_runner.run_sharded(
+          kProbeCount, static_cast<std::size_t>(batch),
+          sim::Duration::from_sec(1),
+          [&probes, &caught, ramp_s](const sim::TrialContext& ctx) {
+            return std::make_unique<SpotDuelTrial>(probes[ctx.index].offset,
+                                                   &caught[ctx.index], ramp_s);
+          });
+    } else {
+      duel_runner.run(kProbeCount, [&probes, &caught, ramp_s](
+                                       const sim::TrialContext& ctx) {
+        SpotDuelTrial trial(probes[ctx.index].offset, &caught[ctx.index],
+                            ramp_s);
+        while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
+        trial.finish();
+      });
+    }
     duel_trials = duel_runner.trials_run();
     duel_wall_s = duel_runner.wall_seconds();
   }

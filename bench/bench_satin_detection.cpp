@@ -20,6 +20,7 @@
 #include "scenario/experiments.h"
 #include "secure/digest_cache.h"
 #include "sim/batch.h"
+#include "sim/parallel.h"
 
 namespace {
 
@@ -123,26 +124,26 @@ int run_clean_rounds(std::uint64_t target, satin::bench::ObsGuard& obs) {
   const std::string name = std::string("bench_satin_detection_clean_") +
                            (secure::digest_cache_default() ? "on" : "off");
   if (batch > 1) {
-    sim::BatchRunnerOptions options;
-    options.batch = static_cast<std::size_t>(batch);
+    sim::TrialRunnerOptions options;
+    options.jobs = obs.jobs(/*fallback=*/1);
+    options.flight_ring = obs.flight_ring();
+    sim::TrialRunner runner(options);
+    const auto replicas = static_cast<std::size_t>(batch);
+    std::vector<std::uint64_t> alarms(replicas, 0);
     // Match the inline loop's historical 500 ms slicing so replica 0 stops
     // on the same round boundary and prints identical rows.
-    options.quantum = sim::Duration::from_ms(500);
-    options.runner.jobs = obs.jobs(/*fallback=*/1);
-    options.runner.flight_ring = obs.flight_ring();
-    sim::BatchRunner runner(options);
-    std::vector<std::uint64_t> alarms(static_cast<std::size_t>(batch), 0);
-    runner.run(static_cast<std::size_t>(batch),
-               [&](const sim::TrialContext& ctx) {
-                 scenario::ScenarioConfig config;
-                 config.platform.seed = ctx.index == 0
-                                            ? hw::PlatformConfig{}.seed
+    runner.run_sharded(replicas, replicas, sim::Duration::from_ms(500),
+                       [&](const sim::TrialContext& ctx) {
+                         scenario::ScenarioConfig config;
+                         config.platform.seed =
+                             ctx.index == 0 ? hw::PlatformConfig{}.seed
                                             : ctx.seed;
-                 return std::make_unique<CleanRoundsTrial>(
-                     config, target, &alarms[ctx.index], ctx.index == 0);
-               });
-    bench::json_row(name, runner.trials_run(),
-                    runner.jobs_for(static_cast<std::size_t>(batch)),
+                         return std::make_unique<CleanRoundsTrial>(
+                             config, target, &alarms[ctx.index],
+                             ctx.index == 0);
+                       });
+    // All replicas form one shard, so one worker ran them.
+    bench::json_row(name, runner.trials_run(), runner.jobs_for(/*shards=*/1),
                     runner.wall_seconds());
     for (std::uint64_t a : alarms) {
       if (a != 0) return 1;

@@ -6,10 +6,14 @@
 // Every bench also accepts --trace=<file> / --metrics=<file>: declare an
 // ObsGuard first thing in main and the flags are consumed from argv, a
 // global TraceRecorder/MetricsRegistry is installed for the run, and the
-// files are written when the guard goes out of scope.
+// files are written when the guard goes out of scope. Benches run
+// fault-free (the examples take --faults=), so the guard refuses
+// --faults= with exit 2 instead of silently running unfaulted.
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -17,7 +21,27 @@
 
 namespace satin::bench {
 
-using ObsGuard = obs::ObsSession;
+class ObsGuard : public obs::ObsSession {
+ public:
+  ObsGuard(int& argc, char** argv)
+      : obs::ObsSession(refuse_faults(argc, argv), argv) {}
+
+ private:
+  // Runs before ObsSession strips argv, so nothing is installed or
+  // opened when the flag is refused.
+  static int& refuse_faults(int& argc, char** argv) {
+    for (int i = 1; i < argc; ++i) {
+      if (std::strncmp(argv[i], "--faults=", 9) == 0) {
+        std::fprintf(stderr,
+                     "%s: %s: benches run fault-free; use the examples "
+                     "(e.g. fault_storm) for fault injection\n",
+                     argv[0], argv[i]);
+        std::exit(2);
+      }
+    }
+    return argc;
+  }
+};
 
 inline void heading(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());

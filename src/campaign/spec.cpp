@@ -145,9 +145,9 @@ CampaignSpec parse_campaign_spec(const std::string& text,
   const JsonValue root = parse_json(text, source);
   const std::string where = "campaign";
   root.reject_unknown_keys(
-      where, {"name", "trials", "root_seed", "jobs", "shard",
-              "trial_timeout_s", "max_retries", "platform", "satin", "duel",
-              "attacker", "faults", "faults_reseed"});
+      where, {"name", "trials", "root_seed", "jobs", "trial_timeout_s",
+              "max_retries", "platform", "satin", "duel", "attacker",
+              "faults", "faults_reseed"});
 
   CampaignSpec spec;
   if (const JsonValue* j = root.find("name")) {
@@ -165,11 +165,6 @@ CampaignSpec parse_campaign_spec(const std::string& text,
     const std::int64_t jobs = j->as_int("jobs");
     if (jobs < 1 || jobs > 256) j->fail("jobs: must be in [1, 256]");
     spec.jobs = static_cast<int>(jobs);
-  }
-  if (const JsonValue* j = root.find("shard")) {
-    const std::int64_t shard = j->as_int("shard");
-    if (shard < 0 || shard > 4096) j->fail("shard: must be in [0, 4096]");
-    spec.shard = static_cast<int>(shard);
   }
   if (const JsonValue* j = root.find("trial_timeout_s")) {
     spec.trial_timeout_s = positive_number(*j, "trial_timeout_s");
@@ -257,7 +252,7 @@ std::uint64_t CampaignSpec::content_hash() const {
   fold_string(h, name);
   fold_value(h, trials);
   fold_value(h, root_seed);
-  // jobs / shard / timeout / retries are *runtime* knobs: they never
+  // jobs / timeout / retries are *runtime* knobs: they never
   // change any trial's result, so a resume may legally override them.
   fold_value(h, scenario.platform.num_little);
   fold_value(h, scenario.platform.num_big);

@@ -9,8 +9,8 @@
 //
 // Determinism contract: a trial's entire input is (spec, trial index).
 // Per-trial seeds come from sim::TrialSeedSeq(root_seed), so any jobs
-// count, shard layout, crash/retry history or resume point replays a
-// trial bit-identically — the property every crash-identity gate and the
+// count, crash/retry history or resume point replays a trial
+// bit-identically — the property every crash-identity gate and the
 // journal's resume path rely on.
 //
 //   {
@@ -45,16 +45,6 @@ struct CampaignSpec {
   int jobs = 1;                   // concurrent trial child processes
   double trial_timeout_s = 120.0; // host wall time before a trial is killed
   int max_retries = 2;            // re-forks per trial before giving up
-  // In-process lockstep shard backend (sim/batch.h): > 1 replaces the
-  // per-trial child processes with groups of this many trials advanced
-  // through the fused engine pass on the supervisor thread (merged event
-  // frontiers, shared kernel image + pristine digest base). Every trial
-  // is still a pure function of (spec, index) and the fused pass is
-  // identity-inert, so journal/stats/artifacts are byte-identical to any
-  // process-backend schedule (CI-gated) — a pure runtime knob, NOT folded
-  // into content_hash(). Mutually exclusive with the chaos knobs (there is
-  // no child process to crash).
-  int shard = 0;
 
   scenario::ScenarioConfig scenario;
   // True when the spec pinned platform.seed: trial 0 keeps it (the

@@ -1,11 +1,9 @@
 #include "campaign/supervisor.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <set>
 
@@ -13,13 +11,9 @@
 #include <unistd.h>
 
 #include "campaign/trial.h"
-#include "fault/injector.h"
 #include "obs/flight/audit.h"
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/session.h"
-#include "scenario/scenario.h"
-#include "sim/batch.h"
 #include "sim/fork.h"
 #include "sim/parallel.h"
 #include "sim/seed_seq.h"
@@ -188,56 +182,6 @@ bool write_campaign_stats(const std::string& path, const std::string& body,
 
 namespace {
 
-// One campaign trial decomposed for the in-process lockstep shard
-// backend: the inputs run_campaign_trial() runs with (derive_trial_inputs),
-// split into construct / advance / finish so sim::run_lockstep_shard can
-// interleave shard-mates through the fused engine pass. The composed
-// result is written through `out` at finish() time because the shard loop
-// destroys the trial object as soon as it completes.
-class CampaignLockstepTrial final : public sim::LockstepTrial {
- public:
-  CampaignLockstepTrial(const CampaignSpec& spec, std::uint64_t index,
-                        TrialResult* out, bool* completed)
-      : index_(index), out_(out), completed_(completed) {
-    const TrialInputs in = derive_trial_inputs(spec, index);
-    seed_ = in.seed;
-    system_ = std::make_unique<scenario::Scenario>(in.scenario);
-    injector_ = fault::install_from_spec(system_->platform(), in.faults);
-    duel_ = std::make_unique<scenario::DuelTrial>(*system_, spec.duel);
-  }
-
-  bool done() const override { return duel_->done(); }
-  void advance(sim::Duration quantum) override { duel_->advance(quantum); }
-  // DuelTrial::advance is exactly engine run_until (fault injections are
-  // ordinary scheduled events), so the fused pass may drive the engine
-  // directly — the sim/batch.h contract.
-  sim::Engine* fused_engine() override { return &system_->engine(); }
-
-  void finish() override {
-    out_->index = index_;
-    out_->seed = seed_;
-    out_->report = duel_->finish();
-    out_->faults_injected =
-        injector_ != nullptr ? injector_->injected_total() : 0;
-    // The same snapshot run_single_duel takes — engine self-metrics minus
-    // host wall time — into this trial's private registry.
-    if (auto* registry = obs::metrics()) {
-      obs::snapshot_engine_metrics(system_->engine(), *registry,
-                                   /*include_wall=*/false);
-    }
-    *completed_ = true;
-  }
-
- private:
-  std::uint64_t index_;
-  std::uint64_t seed_ = 0;
-  TrialResult* out_;
-  bool* completed_;
-  std::unique_ptr<scenario::Scenario> system_;
-  std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<scenario::DuelTrial> duel_;
-};
-
 class Supervisor {
  public:
   Supervisor(const CampaignSpec& spec, const CampaignOptions& options)
@@ -247,7 +191,6 @@ class Supervisor {
                                                : spec.trial_timeout_s;
     max_retries_ = options.max_retries >= 0 ? options.max_retries
                                             : spec.max_retries;
-    lockstep_ = options.shard >= 0 ? options.shard : spec.shard;
   }
 
   CampaignOutcome run() {
@@ -279,36 +222,13 @@ class Supervisor {
       if (journal_.completed().count(i) == 0) pending_.push_back(i);
     }
 
-    // Per-trial metrics snapshots are a few KB, so they are ALWAYS
-    // recorded: a resume started with --metrics can then merge trials
-    // completed by an earlier metrics-less run. Flight recordings can be
-    // arbitrarily large, so those only exist when the session asks.
-    want_flight_ = obs::flight() != nullptr;
     artifacts_dir_ = options_.journal_path + ".d";
     if (::mkdir(artifacts_dir_.c_str(), 0777) != 0 && errno != EEXIST) {
       outcome.error = artifacts_dir_ + ": cannot create artifacts dir";
       return outcome;
     }
 
-    if (lockstep_ > 1) {
-      // In-process lockstep backend: no child process exists, so crash
-      // chaos is meaningless here.
-      if (options_.chaos_kill_trial >= 0 || options_.chaos_hang_trial >= 0 ||
-          options_.chaos_supervisor_kill_after > 0) {
-        outcome.error =
-            "chaos knobs crash or hang a trial's child process; the "
-            "in-process shard backend has none";
-        return outcome;
-      }
-    }
-
-    if (!pending_.empty()) {
-      if (lockstep_ > 1) {
-        run_shard_backend();
-      } else {
-        run_process_backend(outcome);
-      }
-    }
+    if (!pending_.empty()) run_trials(outcome);
 
     // Permanently failed trials (threw, retries exhausted, or not
     // journaled), in index order.
@@ -352,15 +272,15 @@ class Supervisor {
     }
   }
 
-  // Process backend: every pending trial runs in its own sim::ForkServer
-  // child, at most `jobs` at a time, under ForkServer's failure ladder
-  // (heartbeat timeout, SIGKILL + reap, per-trial retry budget with
-  // backoff, first-attempt chaos). A child runs run_campaign_trial under
-  // fresh sinks and persists <journal>.d/trial_<i>.{met,flt} before its
-  // record, so "in the journal" implies "artifacts on disk". Records are
-  // journaled as they land, so a supervisor kill loses only the trials
-  // still in flight.
-  void run_process_backend(CampaignOutcome& outcome) {
+  // Every pending trial runs in its own sim::ForkServer child, at most
+  // `jobs` at a time, under ForkServer's failure ladder (heartbeat
+  // timeout, SIGKILL + reap, per-trial retry budget with backoff,
+  // first-attempt chaos). A child runs run_campaign_trial under fresh
+  // sinks and persists <journal>.d/trial_<i>.{met,flt} before its record,
+  // so "in the journal" implies "artifacts on disk". Records are journaled
+  // as they land, so a supervisor kill loses only the trials still in
+  // flight.
+  void run_trials(CampaignOutcome& outcome) {
     sim::ForkServerOptions fork_options;
     fork_options.jobs = jobs_;
     fork_options.timeout_s = timeout_s_;
@@ -372,9 +292,13 @@ class Supervisor {
     fork_options.chaos_hang_branch =
         static_cast<int>(options_.chaos_hang_trial);
 
-    // Children record metrics whenever the forking thread has a registry
-    // installed, so a session without --metrics lends them this empty one
-    // (nothing records into it here). Traces do not cross fork().
+    // Per-trial metrics snapshots are a few KB, so they are ALWAYS
+    // recorded: a resume started with --metrics can then merge trials
+    // completed by an earlier metrics-less run. Children record metrics
+    // whenever the forking thread has a registry installed, so a session
+    // without --metrics lends them this empty one (nothing records into
+    // it here). Flight recordings can be arbitrarily large, so those only
+    // exist when the session asks. Traces do not cross fork().
     obs::MetricsRegistry lent_metrics;
     sim::TrialObsScope sinks(
         obs::metrics() != nullptr ? obs::metrics() : &lent_metrics, nullptr,
@@ -403,93 +327,6 @@ class Supervisor {
     outcome.worker_crashes = server.crashes();
     outcome.worker_timeouts = server.timeouts();
     outcome.workers_spawned = server.forks();
-  }
-
-  // In-process lockstep shard backend (spec/option `shard` > 1): pending
-  // trials run as fused lockstep groups on the supervisor thread instead
-  // of one child process each. Each group of `shard` trials advances
-  // through one merged event frontier, sharing the immutable kernel image
-  // and pristine digest base (sim/batch.h, sim/shard.h); every trial
-  // still runs under fresh per-trial sinks and remains a pure function of
-  // (spec, index), so journal, stats, metrics and flight artifacts are
-  // byte-identical to any process-backend schedule (CI-gated). There is
-  // no process isolation: a throwing trial fails permanently, exactly as
-  // in the process backend, and the chaos knobs are refused up front.
-  void run_shard_backend() {
-    const auto group_size = static_cast<std::size_t>(lockstep_);
-    for (std::size_t base = 0; base < pending_.size(); base += group_size) {
-      const std::size_t count = std::min(group_size, pending_.size() - base);
-      const std::uint64_t* group = pending_.data() + base;
-
-      // Per-slot sinks mirror a process-backend child's private ones:
-      // metrics are always recorded, flight only when the session asks.
-      std::vector<std::unique_ptr<obs::MetricsRegistry>> metrics(count);
-      std::vector<std::unique_ptr<obs::FlightRecorder>> flight(count);
-      std::vector<TrialResult> results(count);
-      std::deque<bool> completed(count, false);
-      std::deque<bool> errored(count, false);
-      for (std::size_t j = 0; j < count; ++j) {
-        metrics[j] = std::make_unique<obs::MetricsRegistry>();
-        if (want_flight_) {
-          obs::FlightRecorder::Options fopts;
-          fopts.path = sim::trial_flight_path(artifacts_dir_, group[j]);
-          fopts.ring = options_.flight_ring;
-          flight[j] = std::make_unique<obs::FlightRecorder>(fopts);
-        }
-      }
-
-      sim::run_lockstep_shard(
-          count, sim::Duration::from_sec(1),
-          [&](std::size_t j) -> std::unique_ptr<sim::LockstepTrial> {
-            return std::make_unique<CampaignLockstepTrial>(
-                spec_, group[j], &results[j], &completed[j]);
-          },
-          [&](std::size_t j, const std::function<void()>& fn) {
-            sim::TrialObsScope sinks(metrics[j].get(), nullptr,
-                                     flight[j].get());
-            fn();
-          },
-          [&](std::size_t j, std::exception_ptr error) {
-            errored[j] = true;
-            try {
-              if (error) std::rethrow_exception(error);
-            } catch (const std::exception& e) {
-              std::fprintf(stderr,
-                           "campaign: trial %" PRIu64 " failed: %s\n",
-                           group[j], e.what());
-            } catch (...) {
-              std::fprintf(stderr, "campaign: trial %" PRIu64 " failed\n",
-                           group[j]);
-            }
-          });
-
-      for (std::size_t j = 0; j < count; ++j) {
-        const std::uint64_t index = group[j];
-        if (errored[j] || !completed[j] || results[j].index != index) {
-          failed_.insert(index);
-          continue;
-        }
-        // Artifacts first, journal second — the same durability order a
-        // process-backend child keeps: "in the journal" implies
-        // "artifacts on disk".
-        bool durable = true;
-        if (flight[j] != nullptr && !flight[j]->close()) durable = false;
-        if (durable) {
-          std::string error;
-          if (!metrics[j]->save_binary(
-                  sim::trial_metrics_path(artifacts_dir_, index), &error)) {
-            std::fprintf(stderr, "campaign: trial %" PRIu64 ": %s\n", index,
-                         error.c_str());
-            durable = false;
-          }
-        }
-        if (!durable) {
-          failed_.insert(index);
-          continue;
-        }
-        journal(results[j]);
-      }
-    }
   }
 
   // Folds per-trial obs artifacts into the calling thread's session sinks
@@ -569,13 +406,11 @@ class Supervisor {
   int jobs_ = 1;
   double timeout_s_ = 120.0;
   int max_retries_ = 2;
-  int lockstep_ = 0;  // resolved `shard` knob (in-process lockstep size)
 
   CampaignJournal journal_;
   std::vector<std::uint64_t> pending_;  // not yet journaled, index order
   std::set<std::uint64_t> failed_;
   std::string artifacts_dir_;
-  bool want_flight_ = false;
   std::uint64_t artifacts_missing_ = 0;
 };
 

@@ -5,8 +5,8 @@
 // (campaign/trial.h) against private per-trial obs sinks, persists the
 // obs artifacts, and sends back a checksummed result record, which the
 // supervisor validates and appends to the journal (fsync'd) as it lands,
-// before counting the trial done. With `shard` > 1 the trials instead run
-// in-process as fused lockstep groups (sim/batch.h).
+// before counting the trial done. A campaign trial runs only as such a
+// child: the chaos knobs below always have a process to crash.
 //
 // Failure model — ForkServer's ladder, in order of escalation:
 //  * child crash (any exit before its record, SIGKILL included) or torn
@@ -16,14 +16,14 @@
 //    trial_timeout_s gets the child SIGKILLed, then the crash path;
 //  * a trial that throws fails at once (an "E" record), with no retry:
 //    the trial is a pure function of (spec, index), so a retry would
-//    throw again. The shard backend treats a throw the same way;
+//    throw again;
 //  * retries exhausted / trial threw — the campaign still emits its
 //    stats, with `degraded: true` and the failed trial list, instead of
 //    hanging or dying empty-handed.
 //
 // Crash identity: trials are pure functions of (spec, index) and
 // aggregation is strictly index-ordered, so ANY schedule — jobs count,
-// crashes, retries, SIGKILL + resume, shard layout — ends in
+// crashes, retries, SIGKILL + resume — ends in
 // byte-identical stats and (stable) metrics. CI enforces this literally,
 // with a chaos-injected run diffed against a jobs=1 uninterrupted one.
 // The chaos_* knobs exist for that gate: they make a trial's child kill
@@ -49,10 +49,6 @@ struct CampaignOptions {
   int jobs = 0;
   double trial_timeout_s = 0.0;
   int max_retries = -1;
-  // In-process lockstep shard size (sim/batch.h); -1 = take the spec's
-  // value, 0 explicitly disables, > 1 replaces the child processes with
-  // fused lockstep groups run on the supervisor thread.
-  int shard = -1;
   // `resume` refuses to start a fresh journal; `run` creates one.
   bool require_existing_journal = false;
   // Per-trial flight ring capacity for child recorders (0 = full stream).

@@ -40,8 +40,8 @@ std::string encode_trial_record(const TrialResult& result);
 bool decode_trial_record(const std::string& line, TrialResult& out,
                          std::string* error = nullptr);
 
-// Everything trial `index` of `spec` runs with, derived in one place for
-// every backend:
+// Everything trial `index` of `spec` runs with (run_campaign_trial's
+// inputs, exposed so tests can check the derivations directly):
 //  * seed = TrialSeedSeq(root_seed).seed_for(index);
 //  * platform seed = seed, except trial 0 keeps a spec-pinned
 //    platform.seed (the run-of-record convention);

@@ -103,7 +103,7 @@ class ObsSession {
   // Parsed --jobs value; `fallback` when the flag was absent, one worker
   // per hardware thread when it was --jobs=0.
   int jobs(int fallback = 1) const;
-  // Parsed --batch value (lockstep shard size for sim::BatchRunner);
+  // Parsed --batch value (lockstep shard size for run_sharded);
   // `fallback` when the flag was absent or below 1. Like --jobs, this is
   // only stripped and stored — a pure runtime knob whose output is
   // byte-identical for every value (CI-gated), so it never belongs in a

@@ -1,16 +1,12 @@
 #include "scenario/experiments.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
-#include <utility>
 
 #include "fault/injector.h"
-#include "obs/flight/recorder.h"
 #include "obs/metrics.h"
 #include "obs/session.h"
 #include "os/system_map.h"
@@ -344,101 +340,64 @@ DuelSweep run_forked_duel_sweep(
   // requested-parallelism knob and sweep output must not depend on the
   // execution backend.
   sweep.jobs = sim::TrialRunner(options).jobs_for(config.trials);
-  sweep.reports.resize(config.trials);
 
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto group_size = static_cast<std::size_t>(config.branches);
-  for (std::size_t base = 0; base < config.trials; base += group_size) {
-    // branches > remaining trials clamps to the tail group's size.
-    const std::size_t count = std::min(group_size, config.trials - base);
-    std::vector<std::size_t> group(count);
-    std::iota(group.begin(), group.end(), base);
-    sim::ForkServerOptions fork_options;
-    fork_options.jobs = config.jobs;
-    fork_options.timeout_s = config.fork_timeout_s;
-    fork_options.max_retries = config.fork_retries;
-    fork_options.flight_ring = config.flight_ring;
-    fork_options.marker_seed = [&seeds](std::size_t global) {
-      return seeds.seed_for(global);
-    };
-
-    std::vector<std::string> payloads;
-    if (config.fork_prefix_s <= 0.0) {
-      sim::ForkServer server(fork_options);
-      payloads = server.run_collect(group, [&](std::size_t index) {
+  sim::ForkServerOptions fork_options;
+  fork_options.jobs = config.jobs;
+  fork_options.timeout_s = config.fork_timeout_s;
+  fork_options.max_retries = config.fork_retries;
+  fork_options.flight_ring = config.flight_ring;
+  fork_options.marker_seed = [&seeds](std::size_t global) {
+    return seeds.seed_for(global);
+  };
+  const auto replay = [&](std::size_t index) {
+    const sim::TrialContext ctx{index, seeds.seed_for(index)};
+    DuelConfig duel = config.duel;
+    const ScenarioConfig scenario_config =
+        duel_trial_scenario_config(ctx, duel, customize);
+    return encode_duel_report(run_single_duel(scenario_config, duel).report);
+  };
+  sim::GroupPrefix warm_prefix;
+  if (config.fork_prefix_s > 0.0) {
+    warm_prefix = [&](std::size_t base) -> sim::ForkServer::Body {
+      const sim::TrialContext leader{base, seeds.seed_for(base)};
+      DuelConfig leader_duel = config.duel;
+      auto scenario = std::make_shared<Scenario>(
+          duel_trial_scenario_config(leader, leader_duel, customize));
+      scenario->run_for(sim::Duration::from_sec_f(config.fork_prefix_s));
+      return [&, scenario](std::size_t index) {
         const sim::TrialContext ctx{index, seeds.seed_for(index)};
         DuelConfig duel = config.duel;
-        const ScenarioConfig scenario_config =
-            duel_trial_scenario_config(ctx, duel, customize);
-        return encode_duel_report(
-            run_single_duel(scenario_config, duel).report);
-      });
-    } else {
-      fork_options.inherit_sinks = true;
-      sim::ForkServer server(fork_options);
-      // Group sinks, created only when the session records: children
-      // inherit them (already holding the prefix's records) by COW and
-      // persist the whole per-branch stream for merge_obs().
-      std::unique_ptr<obs::MetricsRegistry> group_metrics;
-      std::unique_ptr<obs::FlightRecorder> group_flight;
-      if (obs::metrics() != nullptr) {
-        group_metrics = std::make_unique<obs::MetricsRegistry>();
-      }
-      if (obs::flight() != nullptr) {
-        obs::FlightRecorderOptions flight_options;
-        flight_options.ring = config.flight_ring;
-        group_flight = std::make_unique<obs::FlightRecorder>(flight_options);
-      }
-      std::vector<sim::ForkOutcome> outcomes;
-      {
-        sim::TrialObsScope scope(group_metrics.get(), nullptr,
-                                 group_flight.get());
-        const sim::TrialContext leader{base, seeds.seed_for(base)};
-        DuelConfig leader_duel = config.duel;
-        ScenarioConfig scenario_config =
-            duel_trial_scenario_config(leader, leader_duel, customize);
-        Scenario scenario(scenario_config);
-        scenario.run_for(sim::Duration::from_sec_f(config.fork_prefix_s));
-        outcomes = server.run(group, [&](std::size_t index) {
-          const sim::TrialContext ctx{index, seeds.seed_for(index)};
-          DuelConfig duel = config.duel;
-          ScenarioConfig discarded;  // scenario is already built pre-fork
-          if (customize) customize(ctx, discarded, duel);
-          BranchDelta delta;
-          if (config.branch_delta) {
-            delta = config.branch_delta(ctx);
-          } else {
-            delta.perturb = true;
-            delta.seed_salt = index;
-          }
-          delta.apply(duel);
-          if (delta.perturb) {
-            scenario.platform().rng().perturb(delta.perturb_stream,
-                                              delta.seed_salt);
-          }
-          DuelTrial trial(scenario, duel);
-          while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
-          DuelReport report = trial.finish();
-          if (auto* registry = obs::metrics()) {
-            obs::snapshot_engine_metrics(scenario.engine(), *registry,
-                                         /*include_wall=*/false);
-          }
-          return encode_duel_report(report);
-        });
-      }
-      // The group scope is gone: merge_obs() targets the session sinks.
-      server.merge_obs();
-      for (const sim::ForkOutcome& outcome : outcomes) {
-        if (!outcome.ok) throw std::runtime_error(outcome.error);
-      }
-      payloads.reserve(outcomes.size());
-      for (sim::ForkOutcome& outcome : outcomes) {
-        payloads.push_back(std::move(outcome.payload));
-      }
-    }
-    for (std::size_t branch = 0; branch < payloads.size(); ++branch) {
-      sweep.reports[base + branch] = decode_duel_report(payloads[branch]);
-    }
+        ScenarioConfig discarded;  // scenario is already built pre-fork
+        if (customize) customize(ctx, discarded, duel);
+        BranchDelta delta;
+        if (config.branch_delta) {
+          delta = config.branch_delta(ctx);
+        } else {
+          delta.perturb = true;
+          delta.seed_salt = index;
+        }
+        delta.apply(duel);
+        if (delta.perturb) {
+          scenario->platform().rng().perturb(delta.perturb_stream,
+                                             delta.seed_salt);
+        }
+        DuelTrial trial(*scenario, duel);
+        while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
+        DuelReport report = trial.finish();
+        if (auto* registry = obs::metrics()) {
+          obs::snapshot_engine_metrics(scenario->engine(), *registry,
+                                       /*include_wall=*/false);
+        }
+        return encode_duel_report(report);
+      };
+    };
+  }
+
+  const auto t0 = std::chrono::steady_clock::now();
+  for (const std::string& payload : sim::run_fork_groups(
+           config.trials, static_cast<std::size_t>(config.branches),
+           fork_options, replay, warm_prefix)) {
+    sweep.reports.push_back(decode_duel_report(payload));
   }
   sweep.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -466,30 +425,27 @@ DuelSweep run_duel_sweep(
   options.flight_ring = config.flight_ring;
 
   DuelSweep sweep;
+  sim::TrialRunner runner(options);
+  // The unsharded worker clamp, also under --batch: `jobs` is the
+  // requested-parallelism knob, and sweep output must be byte-identical
+  // across --batch (shards may cap workers lower).
+  sweep.jobs = runner.jobs_for(config.trials);
   if (config.batch > 1) {
-    sim::BatchRunnerOptions batch_options;
-    batch_options.batch = static_cast<std::size_t>(config.batch);
-    batch_options.runner = options;
-    sim::BatchRunner runner(batch_options);
-    // Report the same effective worker clamp as the unsharded sweep:
-    // `jobs` is the requested-parallelism knob, and sweep output must be
-    // byte-identical across --batch (shards may cap workers lower).
-    sweep.jobs = sim::TrialRunner(options).jobs_for(config.trials);
     sweep.reports.resize(config.trials);
-    runner.run(config.trials, [&config, &customize, &sweep](
-                                  const sim::TrialContext& ctx) {
-      DuelConfig duel = config.duel;
-      const ScenarioConfig scenario_config =
-          duel_trial_scenario_config(ctx, duel, customize);
-      return std::make_unique<DuelLockstepTrial>(scenario_config, duel,
-                                                 &sweep.reports[ctx.index]);
-    });
+    runner.run_sharded(
+        config.trials, static_cast<std::size_t>(config.batch),
+        sim::Duration::from_sec(1),
+        [&config, &customize, &sweep](const sim::TrialContext& ctx) {
+          DuelConfig duel = config.duel;
+          const ScenarioConfig scenario_config =
+              duel_trial_scenario_config(ctx, duel, customize);
+          return std::make_unique<DuelLockstepTrial>(
+              scenario_config, duel, &sweep.reports[ctx.index]);
+        });
     sweep.wall_seconds = runner.wall_seconds();
     return sweep;
   }
 
-  sim::TrialRunner runner(options);
-  sweep.jobs = runner.jobs_for(config.trials);
   sweep.reports = runner.run_collect(
       config.trials, [&config, &customize](const sim::TrialContext& ctx) {
         DuelConfig duel = config.duel;

@@ -136,8 +136,8 @@ struct BranchDelta {
 std::string encode_duel_report(const DuelReport& report);
 DuelReport decode_duel_report(const std::string& text);
 
-// One duel, decomposed so a BatchRunner can interleave it with
-// shard-mates: the constructor performs the full setup (trusted boot,
+// One duel, decomposed so TrialRunner::run_sharded can interleave it
+// with shard-mates: the constructor performs the full setup (trusted boot,
 // prober deployment and 10 ms warm-up, SATIN start, rootkit install),
 // advance() runs one slice of simulated time, finish() stops both sides
 // and correlates detections against ground truth. run_duel() is exactly
@@ -188,15 +188,15 @@ struct DuelSweepConfig {
   std::size_t flight_ring = 0;
   // Lockstep shard width (--batch=K). 1 = one trial at a time via
   // TrialRunner::run(); K >= 2 groups trials into shards of K advanced in
-  // lockstep by sim::BatchRunner. A runtime performance knob: the sweep
-  // output is byte-identical for every K (CI-gated).
+  // lockstep by TrialRunner::run_sharded. A runtime performance knob: the
+  // sweep output is byte-identical for every K (CI-gated).
   int batch = 1;
   // COW fork branching (--branches=N; see sim/fork.h). 0 = the in-process
   // paths above; N >= 1 groups trials into consecutive branch groups of N
-  // and runs each group as fork()ed child processes. With fork_prefix_s ==
-  // 0 every child replays its trial from scratch — a pure runtime knob
-  // whose output is byte-identical to branches == 0 (CI-gated). Mutually
-  // exclusive with batch > 1.
+  // and runs each group as fork()ed child processes (sim::run_fork_groups).
+  // With fork_prefix_s == 0 every child replays its trial from scratch — a
+  // pure runtime knob whose output is byte-identical to branches == 0
+  // (CI-gated). Mutually exclusive with batch > 1.
   int branches = 0;
   // Simulated seconds of warm prefix shared (run once in the parent, then
   // inherited COW by every branch child in the group). 0 = oracle mode.

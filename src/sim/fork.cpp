@@ -9,6 +9,7 @@
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 
@@ -510,16 +511,47 @@ void ForkServer::merge_obs() {
   if (!scratch_.empty()) ::rmdir(scratch_.c_str());
 }
 
-std::vector<std::string> ForkServer::run_collect(
-    const std::vector<std::size_t>& indices, const Body& body) {
-  const std::vector<ForkOutcome> outcomes = run(indices, body);
-  merge_obs();
-  for (const ForkOutcome& o : outcomes) {
-    if (!o.ok) throw std::runtime_error(o.error);
-  }
+std::vector<std::string> run_fork_groups(std::size_t trials,
+                                         std::size_t group_size,
+                                         const ForkServerOptions& options,
+                                         const ForkServer::Body& branch,
+                                         const GroupPrefix& warm_prefix) {
+  if (group_size < 1) group_size = 1;
+  ForkServerOptions group_options = options;
+  group_options.inherit_sinks = warm_prefix != nullptr;
   std::vector<std::string> payloads;
-  payloads.reserve(outcomes.size());
-  for (const ForkOutcome& o : outcomes) payloads.push_back(o.payload);
+  payloads.reserve(trials);
+  for (std::size_t base = 0; base < trials; base += group_size) {
+    std::vector<std::size_t> group(std::min(group_size, trials - base));
+    std::iota(group.begin(), group.end(), base);
+    ForkServer server(group_options);
+    std::vector<ForkOutcome> outcomes;
+    if (warm_prefix == nullptr) {
+      outcomes = server.run(group, branch);
+    } else {
+      // Group sinks, created only when the session records: children
+      // inherit them (already holding the prefix's records) by COW and
+      // persist the whole per-branch stream for merge_obs().
+      std::unique_ptr<obs::MetricsRegistry> group_metrics;
+      std::unique_ptr<obs::FlightRecorder> group_flight;
+      if (obs::metrics() != nullptr) {
+        group_metrics = std::make_unique<obs::MetricsRegistry>();
+      }
+      if (obs::flight() != nullptr) {
+        obs::FlightRecorder::Options flight_options;
+        flight_options.ring = options.flight_ring;
+        group_flight = std::make_unique<obs::FlightRecorder>(flight_options);
+      }
+      TrialObsScope scope(group_metrics.get(), nullptr, group_flight.get());
+      const ForkServer::Body body = warm_prefix(base);
+      outcomes = server.run(group, body);
+    }  // the warm state, then the group scope, are gone
+    server.merge_obs();  // into the session sinks
+    for (ForkOutcome& outcome : outcomes) {
+      if (!outcome.ok) throw std::runtime_error(outcome.error);
+      payloads.push_back(std::move(outcome.payload));
+    }
+  }
   return payloads;
 }
 

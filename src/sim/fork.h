@@ -11,9 +11,13 @@
 // checkpoint format, the process image IS the snapshot. Each child
 // applies its branch's delta (an attacker offset, a SATIN knob, a seed
 // perturbation), runs to completion, and streams a checksummed result
-// record back over a pipe. The campaign's process backend
-// (campaign/supervisor.h) is the same machinery with no prefix: one
+// record back over a pipe. Sweeps (--branches=N) go through
+// run_fork_groups(), the one group loop; campaign trials
+// (campaign/supervisor.h) are the same machinery with no prefix: one
 // fresh-sink child per pending trial, journaled from on_settled.
+//
+// ForkServer children are one of the three ways a trial runs, next to
+// TrialRunner's thread pool and its lockstep shards (sim/parallel.h).
 //
 // Observability contract (the part that keeps forked output
 // byte-identical to the unforked oracle):
@@ -24,11 +28,11 @@
 //    artifacts (trial_<i>.met / trial_<i>.flt) before sending its result
 //    record. A sink exists in the child only when the forking thread has
 //    one installed;
-//  * inherit-sink mode (inherit_sinks = true, the warm-prefix path): the
-//    caller installs per-group sinks BEFORE running the prefix; each
-//    child's COW copy already contains the prefix's records and simply
-//    keeps recording, so the per-branch stream equals what an unforked
-//    trial would have produced, prefix included;
+//  * inherit-sink mode (inherit_sinks = true, the warm-prefix path, set
+//    only by run_fork_groups): per-group sinks are installed BEFORE the
+//    prefix runs; each child's COW copy already contains the prefix's
+//    records and simply keeps recording, so the per-branch stream equals
+//    what an unforked trial would have produced, prefix included;
 //  * merge_obs() then folds the artifacts into the caller's sinks in the
 //    order of run()'s indices with the same kTrialBegin markers
 //    TrialRunner's submission-order merge emits — so stdout,
@@ -42,8 +46,8 @@
 // torn record is SIGKILLed, reaped, its partial artifacts deleted, and
 // re-forked from the unchanged parent image with exponential backoff, up
 // to max_retries times; a child that reports a deterministic exception
-// ("E" record) is NOT retried. run_collect() rethrows the first failed
-// index's error after every index has settled, mirroring TrialRunner.
+// ("E" record) is NOT retried. run_fork_groups() rethrows the first
+// failed index's error once its group has settled and merged.
 //
 // Children never touch the parent's stdout/stderr buffers (flushed
 // before each fork; children write their pipe with raw write() and leave
@@ -71,6 +75,7 @@ struct ForkServerOptions {
   std::size_t flight_ring = 0;
   // Children keep the caller-installed sinks (their COW copies already
   // hold the warm prefix's records) instead of installing fresh ones.
+  // run_fork_groups() sets it for warm groups; nothing else should.
   bool inherit_sinks = false;
   // Artifacts directory; "" = a private mkdtemp() dir, removed after the
   // merge.
@@ -133,12 +138,6 @@ class ForkServer {
   // not the group's.
   void merge_obs();
 
-  // run() + merge_obs() + rethrow of the first failed index's error;
-  // returns the payloads in `indices` order. The convenience wrapper for
-  // callers with TrialRunner-style error semantics.
-  std::vector<std::string> run_collect(const std::vector<std::size_t>& indices,
-                                       const Body& body);
-
   // Host wall-clock spent inside run().
   double wall_seconds() const { return wall_seconds_; }
   // Children forked (attempts, across retries), and the failure ladder's
@@ -175,5 +174,31 @@ class ForkServer {
   std::uint64_t timeouts_ = 0;
   std::uint64_t retries_ = 0;
 };
+
+// A warm group's prefix: runs once per group in the parent and returns
+// the body the group's children run. The body owns whatever warm state
+// the prefix built (capture it by shared_ptr), so the state dies with
+// the body, still under the group's sinks.
+using GroupPrefix = std::function<ForkServer::Body(std::size_t base)>;
+
+// The fork sweep (--branches=N): runs trials [0, trials) as ForkServer
+// children in consecutive groups of `group_size` (the tail group takes
+// what is left), one group after another, and returns the payloads in
+// index order.
+//  * warm_prefix == nullptr (the zero-prefix oracle): each child runs
+//    branch(index) from scratch under fresh sinks;
+//  * otherwise (the warm-prefix path): per group, fresh group sinks are
+//    created when the session records (metrics, flight with the
+//    options' ring), warm_prefix(base) runs under them, and the
+//    children run its returned body with inherit_sinks; `branch` is
+//    unused.
+// Each group's artifacts merge into the session sinks (merge_obs, after
+// the group sinks are gone) before the next group starts. The first
+// failed index, in index order, is rethrown as std::runtime_error once
+// its group has merged; later groups never run.
+std::vector<std::string> run_fork_groups(
+    std::size_t trials, std::size_t group_size,
+    const ForkServerOptions& options, const ForkServer::Body& branch,
+    const GroupPrefix& warm_prefix = nullptr);
 
 }  // namespace satin::sim

@@ -1,16 +1,22 @@
 #include "sim/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/batch.h"
+#include "sim/engine.h"
+#include "sim/shard.h"
 
 namespace satin::sim {
 
@@ -129,6 +135,138 @@ void run_pool(int jobs, std::size_t units,
   for (std::thread& t : pool) t.join();
 }
 
+// One shard's lockstep core: runs `count` trials to completion on the
+// calling thread under one ShardContext (immutable kernel image +
+// pristine digest base shared by the shard-mates): construct via
+// make_slot, advance in quantum rounds (fused lanes via merged-frontier
+// engine bursts, stragglers via advance()), finish in slot order as each
+// turns done. `with_sinks(slot, fn)` runs fn under the slot's obs sinks;
+// `on_error(slot, error)` is invoked at most once per slot, after which
+// the slot's trial has been destroyed and its shard-mates continue.
+void run_lockstep_shard(
+    std::size_t count, Duration quantum,
+    const std::function<std::unique_ptr<LockstepTrial>(std::size_t)>&
+        make_slot,
+    const std::function<void(std::size_t, const std::function<void()>&)>&
+        with_sinks,
+    const std::function<void(std::size_t, std::exception_ptr)>& on_error) {
+  // Shard-slot arrays — the per-trial state walked in lockstep.
+  std::vector<std::unique_ptr<LockstepTrial>> live(count);
+  std::vector<Engine*> engines(count, nullptr);
+  std::size_t remaining = 0;
+
+  ShardContext context;
+  ShardContext::Scope context_scope(context);
+
+  for (std::size_t j = 0; j < count; ++j) {
+    with_sinks(j, [&] {
+      try {
+        live[j] = make_slot(j);
+        if (live[j] != nullptr) {
+          ++remaining;
+          engines[j] = live[j]->fused_engine();
+        }
+      } catch (...) {
+        live[j].reset();
+        on_error(j, std::current_exception());
+      }
+    });
+  }
+
+  // A lane's burst window: long enough that peek/run_until bookkeeping
+  // stays far off the profile, short enough that lanes genuinely
+  // interleave through the merged event frontier within each quantum.
+  Duration slice = Duration::from_ps(quantum.ps() / 4);
+  if (slice <= Duration::zero()) slice = Duration::from_ps(1);
+
+  std::vector<Time> target(count);
+  std::vector<Time> frontier(count);
+  std::vector<unsigned char> advancing(count, 0);
+
+  const auto drop = [&](std::size_t j) {
+    live[j].reset();
+    engines[j] = nullptr;
+    --remaining;
+    on_error(j, std::current_exception());
+  };
+
+  while (remaining > 0) {
+    // Phase 1 — fused lanes: each live not-yet-done lane owes one quantum
+    // this round. Advance them through a merged schedule keyed by
+    // (next event time, slot): always burst the lane whose engine holds
+    // the globally earliest pending event, so the shard's K timer wheels
+    // drain as one interleaved frontier. Identity-inert versus one
+    // advance(quantum) per lane: run_until slicing and deadline-bounded
+    // peeks do exactly the settles a scalar run performs (sim/engine.h).
+    std::size_t active = 0;
+    for (std::size_t j = 0; j < count; ++j) {
+      advancing[j] = 0;
+      if (live[j] == nullptr || engines[j] == nullptr) continue;
+      with_sinks(j, [&] {
+        try {
+          if (!live[j]->done()) {
+            target[j] = engines[j]->now() + quantum;
+            frontier[j] = engines[j]->next_event_time(target[j]);
+            advancing[j] = 1;
+            ++active;
+          }
+        } catch (...) {
+          drop(j);
+        }
+      });
+    }
+    while (active > 0) {
+      std::size_t pick = count;
+      Time best = Time::max();
+      for (std::size_t j = 0; j < count; ++j) {
+        if (advancing[j] && (pick == count || frontier[j] < best)) {
+          pick = j;
+          best = frontier[j];
+        }
+      }
+      with_sinks(pick, [&] {
+        try {
+          const Time stop = best >= target[pick]
+                                ? target[pick]
+                                : std::min(target[pick], best + slice);
+          engines[pick]->run_until(stop);
+          if (stop >= target[pick]) {
+            advancing[pick] = 0;
+            --active;
+          } else {
+            frontier[pick] = engines[pick]->next_event_time(target[pick]);
+          }
+        } catch (...) {
+          advancing[pick] = 0;
+          --active;
+          drop(pick);
+        }
+      });
+    }
+    // Phase 2 — slot-order sweep: stragglers (no fused engine) take the
+    // classic per-trial advance, and every lane that has turned done
+    // finishes — the same done/advance/done shape as the scalar loop.
+    for (std::size_t j = 0; j < count; ++j) {
+      if (live[j] == nullptr) continue;
+      with_sinks(j, [&] {
+        try {
+          if (engines[j] == nullptr && !live[j]->done()) {
+            live[j]->advance(quantum);
+          }
+          if (live[j]->done()) {
+            live[j]->finish();
+            live[j].reset();  // destructors may emit obs records
+            engines[j] = nullptr;
+            --remaining;
+          }
+        } catch (...) {
+          drop(j);
+        }
+      });
+    }
+  }
+}
+
 }  // namespace
 
 void TrialRunner::run(std::size_t trials,
@@ -167,6 +305,9 @@ void TrialRunner::run_sharded(
     std::size_t trials, std::size_t shard_size, Duration quantum,
     const std::function<std::unique_ptr<LockstepTrial>(const TrialContext&)>&
         make) {
+  if (quantum <= Duration::zero()) {
+    throw std::invalid_argument("run_sharded: quantum must be positive");
+  }
   if (trials == 0) return;
   if (shard_size < 1) shard_size = 1;
   const auto wall_start = std::chrono::steady_clock::now();

@@ -48,9 +48,10 @@ struct TrialContext {
 // Installs per-trial obs sinks into this thread's slots for the duration
 // of one trial; restores whatever the thread had on exit (pool workers
 // hold null, the inline jobs=1 path holds the caller's session sinks).
-// Shared by TrialRunner's thread workers and the campaign's forked worker
-// processes — the one mechanism that keeps a trial's recording private no
-// matter where the trial runs.
+// Shared by TrialRunner's thread workers and lockstep shards and by
+// ForkServer's children and warm fork groups (sim/fork.h) — the one
+// mechanism that keeps a trial's recording private no matter where the
+// trial runs.
 class TrialObsScope {
  public:
   TrialObsScope(obs::MetricsRegistry* metrics, obs::TraceRecorder* tracer,
@@ -110,19 +111,21 @@ class TrialRunner {
     return results;
   }
 
-  // Sharded lockstep execution (the engine under sim::BatchRunner):
-  // trials are grouped into consecutive shards of `shard_size`; a worker
-  // claims a whole shard, constructs its trials via `make`, and advances
-  // them in lockstep, one `quantum` of simulated time each round, until
-  // all finish. The shard runs the fused engine pass: trials share a
-  // ShardContext (immutable kernel image, pristine digest base) and lanes
-  // exposing fused_engine() advance through merged event-frontier bursts,
-  // falling back to per-trial advance() for stragglers. Obs sinks stay
-  // PER TRIAL — installed around every construct / advance / finish
-  // call — and the final merge is run()'s submission-order merge, so for
-  // any shard size the output is byte-identical to run()
-  // provided each trial is insensitive to run_for slicing (event-engine
-  // trials are by construction). Exceptions are captured per trial; a
+  // Sharded lockstep execution (--batch=K; sim/batch.h): trials are
+  // grouped into consecutive shards of `shard_size` (0 counts as 1); a
+  // worker claims a whole shard, constructs its trials via `make`, and
+  // advances them in lockstep, one `quantum` (> 0, else
+  // std::invalid_argument) of simulated time each round, until all
+  // finish. The pool is jobs_for(shard count) workers. The shard runs
+  // the fused engine pass: trials share a ShardContext (immutable kernel
+  // image, pristine digest base) and lanes exposing fused_engine()
+  // advance through merged event-frontier bursts, falling back to
+  // per-trial advance() for stragglers. Obs sinks stay PER TRIAL —
+  // installed around every construct / advance / finish call — and the
+  // final merge is run()'s submission-order merge, so for any shard size
+  // the output is byte-identical to run() provided each trial is
+  // insensitive to run_for slicing (event-engine trials are by
+  // construction). Exceptions are captured per trial; a
   // throwing trial is destroyed (under its sinks) and its shard-mates
   // continue.
   void run_sharded(

@@ -10,8 +10,9 @@
 // before building their own.
 //
 // Identity discipline: the context is installed ONLY by the lockstep
-// shard path (`--batch=K`, the campaign `shard` backend). The unsharded
-// `--batch=1` run of record never sees one, so every shared object must be
+// shard path (TrialRunner::run_sharded, i.e. `--batch=K`). The unsharded
+// `--batch=1` run of record, fork children and campaign trials never see
+// one, so every shared object must be
 // observationally equivalent to the per-trial object it replaces — same
 // bytes, same digests, same counter increments. Tests in
 // tests/sim/batch_test.cpp and tests/os/kernel_image_test.cpp gate this.

@@ -39,7 +39,6 @@ TEST(CampaignSpec, FullSpecRoundTripsEveryKnob) {
     "trials": 16,
     "root_seed": 99,
     "jobs": 4,
-    "shard": 4,
     "trial_timeout_s": 33.5,
     "max_retries": 5,
     "platform": {"num_little": 4, "num_big": 2, "seed": 7},
@@ -54,7 +53,6 @@ TEST(CampaignSpec, FullSpecRoundTripsEveryKnob) {
   EXPECT_EQ(spec.trials, 16u);
   EXPECT_EQ(spec.root_seed, 99u);
   EXPECT_EQ(spec.jobs, 4);
-  EXPECT_EQ(spec.shard, 4);
   EXPECT_DOUBLE_EQ(spec.trial_timeout_s, 33.5);
   EXPECT_EQ(spec.max_retries, 5);
   EXPECT_TRUE(spec.pin_first_platform_seed);
@@ -136,13 +134,18 @@ TEST(CampaignSpec, BranchesAndForkPrefixAreRejectedAsUnknown) {
 }
 
 // "shard_size" once set how many trial indices the persistent worker
-// pool dispatched per worker; with one child process per trial it has
-// nothing to tune, so it fails like any typo.
+// pool dispatched per worker, and "shard" ran trials as in-process
+// lockstep groups instead of child processes; with one child process per
+// trial neither has anything to tune, so both fail like any typo.
 TEST(CampaignSpec, ShardSizeIsRejectedAsUnknown) {
-  const std::string what = parse_error("{\"trials\": 1,\n \"shard_size\": 2}");
-  EXPECT_NE(what.find("unknown key"), std::string::npos) << what;
-  EXPECT_NE(what.find("\"shard_size\""), std::string::npos) << what;
-  EXPECT_NE(what.find("spec.json:2"), std::string::npos) << what;
+  for (const char* key : {"shard_size", "shard"}) {
+    const std::string what = parse_error(std::string("{\"trials\": 1,\n \"") +
+                                         key + "\": 2}");
+    EXPECT_NE(what.find("unknown key"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::string("\"") + key + "\""), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("spec.json:2"), std::string::npos) << what;
+  }
 }
 
 TEST(CampaignSpec, ContentHashCoversResultShapingFields) {
@@ -163,7 +166,6 @@ TEST(CampaignSpec, ContentHashIgnoresRuntimeKnobs) {
   const CampaignSpec a = parse_campaign_spec(R"({"trials": 4})", "a");
   CampaignSpec b = a;
   b.jobs = 16;
-  b.shard = 4;
   b.trial_timeout_s = 1.0;
   b.max_retries = 9;
   // A resume may override all of these without invalidating the journal.

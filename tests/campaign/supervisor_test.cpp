@@ -15,6 +15,9 @@
 
 #include "campaign/journal.h"
 #include "campaign/spec.h"
+#include "campaign/trial.h"
+#include "fault/plan.h"
+#include "sim/seed_seq.h"
 
 namespace satin::campaign {
 namespace {
@@ -167,10 +170,9 @@ TEST_F(SupervisorTest, SupervisorKilledMidCampaignResumesToIdenticalStats) {
             format_campaign_stats(spec_, resumed, b.completed()));
 }
 
-TEST_F(SupervisorTest, ShardBackendMatchesThePoolStats) {
-  // Both backends derive each trial's inputs through derive_trial_inputs;
-  // this spec exercises all three derivations: the per-trial seed, trial
-  // 0 keeping the pinned platform seed, and the fault-plan reseed.
+TEST_F(SupervisorTest, ProcessBackendRecordsMatchInProcessTrials) {
+  // A pinned platform seed plus a re-seeded fault plan exercises every
+  // derivation a trial child makes from (spec, index).
   spec_ = parse_campaign_spec(R"({
     "trials": 4,
     "root_seed": 42,
@@ -181,41 +183,36 @@ TEST_F(SupervisorTest, ShardBackendMatchesThePoolStats) {
     "faults_reseed": true
   })", "reseeded");
 
-  CampaignOptions ref = options();
-  ref.jobs = 2;
-  const CampaignOutcome ref_outcome = run_campaign(spec_, ref);
-  ASSERT_TRUE(ref_outcome.ok) << ref_outcome.error;
+  const sim::TrialSeedSeq seeds(42);
+  for (std::uint64_t i = 0; i < spec_.trials; ++i) {
+    const TrialInputs in = derive_trial_inputs(spec_, i);
+    EXPECT_EQ(in.seed, seeds.seed_for(i)) << "trial " << i;
+    // Trial 0 keeps the pinned platform seed; the others derive theirs.
+    EXPECT_EQ(in.scenario.platform.seed, i == 0 ? 5936453u : in.seed)
+        << "trial " << i;
+    EXPECT_EQ(fault::FaultPlan::parse(in.faults).seed, 9u ^ in.seed)
+        << "trial " << i;
+  }
 
-  // In-process lockstep groups of 3 (a full group and a tail of 1).
-  CampaignOptions sharded = options(".b.journal");
-  sharded.shard = 3;
-  const CampaignOutcome shard_outcome = run_campaign(spec_, sharded);
-  ASSERT_TRUE(shard_outcome.ok) << shard_outcome.error;
-  EXPECT_FALSE(shard_outcome.degraded);
-  EXPECT_EQ(shard_outcome.completed, spec_.trials);
-  // No child process — the evidence the shard path ran.
-  EXPECT_EQ(shard_outcome.workers_spawned, 0u);
+  CampaignOptions o = options();
+  o.jobs = 2;
+  const CampaignOutcome outcome = run_campaign(spec_, o);
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_FALSE(outcome.degraded);
 
+  // Each journaled child record is the in-process trial, bit for bit.
+  CampaignJournal journal;
   std::string error;
-  CampaignJournal a, b;
-  ASSERT_TRUE(a.open(ref.journal_path, spec_, &error)) << error;
-  ASSERT_TRUE(b.open(sharded.journal_path, spec_, &error)) << error;
-  EXPECT_EQ(format_campaign_stats(spec_, ref_outcome, a.completed()),
-            format_campaign_stats(spec_, shard_outcome, b.completed()));
+  ASSERT_TRUE(journal.open(o.journal_path, spec_, &error)) << error;
+  ASSERT_EQ(journal.completed().size(), spec_.trials);
   std::uint64_t injected = 0;
-  for (const auto& [index, result] : b.completed()) {
-    injected += result.faults_injected;
+  for (const auto& [index, record] : journal.completed()) {
+    EXPECT_EQ(encode_trial_record(record),
+              encode_trial_record(run_campaign_trial(spec_, index)))
+        << "trial " << index;
+    injected += record.faults_injected;
   }
   EXPECT_GT(injected, 0u) << "the storm never fired";
-}
-
-TEST_F(SupervisorTest, ShardBackendRefusesChaos) {
-  CampaignOptions chaos = options();
-  chaos.shard = 2;
-  chaos.chaos_kill_trial = 1;  // needs a child process to kill
-  const CampaignOutcome outcome = run_campaign(spec_, chaos);
-  EXPECT_FALSE(outcome.ok);
-  EXPECT_NE(outcome.error.find("chaos"), std::string::npos) << outcome.error;
 }
 
 TEST_F(SupervisorTest, ExhaustedRetriesDegradeInsteadOfHanging) {

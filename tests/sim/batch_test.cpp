@@ -1,17 +1,20 @@
-// BatchRunner / run_sharded: the lockstep engine must be an identity
-// transform over TrialRunner::run() — same submission-order result slots,
-// same merged obs, same first-error rethrow — for every shard size. The
-// duel-level test at the bottom closes the loop end-to-end: a real
-// run_duel_sweep at --batch=K must reproduce the --batch=1 run of record
-// field for field.
+// TrialRunner::run_sharded, the --batch=K lockstep runner: the lockstep
+// engine must be an identity transform over TrialRunner::run() — same
+// submission-order result slots, same merged obs, same first-error
+// rethrow — for every shard size. The duel-level tests at the bottom
+// close the loop end-to-end: a real run_duel_sweep at --batch=K must
+// reproduce the --batch=1 run of record field for field.
 #include "sim/batch.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fault/injector.h"
@@ -26,6 +29,8 @@
 
 namespace satin::sim {
 namespace {
+
+const Duration kQuantum = Duration::from_sec(1);
 
 // Synthetic lockstep citizen: runs for a fixed number of quanta, logs its
 // phase transitions into a shared (jobs=1 only) journal, and writes its
@@ -70,17 +75,17 @@ class CountingTrial final : public LockstepTrial {
 TEST(BatchRunner, ResultsLandInSubmissionOrderSlotsForAnyBatch) {
   for (std::size_t batch : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                             std::size_t{8}, std::size_t{64}}) {
-    BatchRunnerOptions options;
-    options.batch = batch;
-    options.runner.jobs = 4;
-    BatchRunner runner(options);
+    TrialRunnerOptions options;
+    options.jobs = 4;
+    TrialRunner runner(options);
     std::vector<int> slots(17, -1);
-    runner.run(slots.size(), [&slots](const TrialContext& ctx) {
-      // Trial i runs for (i % 5) + 1 quanta: uneven lengths inside one
-      // shard exercise the round-robin's skip-finished slots.
-      return std::make_unique<CountingTrial>(
-          ctx, static_cast<int>(ctx.index % 5) + 1, &slots, nullptr);
-    });
+    runner.run_sharded(
+        slots.size(), batch, kQuantum, [&slots](const TrialContext& ctx) {
+          // Trial i runs for (i % 5) + 1 quanta: uneven lengths inside one
+          // shard exercise the round-robin's skip-finished slots.
+          return std::make_unique<CountingTrial>(
+              ctx, static_cast<int>(ctx.index % 5) + 1, &slots, nullptr);
+        });
     for (std::size_t i = 0; i < slots.size(); ++i) {
       EXPECT_EQ(slots[i], static_cast<int>(i % 5) + 1)
           << "batch=" << batch << " trial=" << i;
@@ -91,17 +96,15 @@ TEST(BatchRunner, ResultsLandInSubmissionOrderSlotsForAnyBatch) {
 
 TEST(BatchRunner, ShardMatesAdvanceInLockstepRoundRobin) {
   // jobs=1 and one shard of 3: the interleaving is fully deterministic.
-  BatchRunnerOptions options;
-  options.batch = 3;
-  options.runner.jobs = 1;
-  BatchRunner runner(options);
+  TrialRunner runner;
   std::vector<int> slots(3, -1);
   std::vector<std::string> journal;
-  runner.run(3, [&slots, &journal](const TrialContext& ctx) {
-    const int quanta[] = {2, 1, 3};
-    return std::make_unique<CountingTrial>(ctx, quanta[ctx.index], &slots,
-                                           &journal);
-  });
+  runner.run_sharded(
+      3, 3, kQuantum, [&slots, &journal](const TrialContext& ctx) {
+        const int quanta[] = {2, 1, 3};
+        return std::make_unique<CountingTrial>(ctx, quanta[ctx.index],
+                                               &slots, &journal);
+      });
   // Construction first (in shard order), then round-robin quanta; a trial
   // finishes in the same pass as its last advance and drops out.
   const std::vector<std::string> expected = {
@@ -114,44 +117,67 @@ TEST(BatchRunner, ShardMatesAdvanceInLockstepRoundRobin) {
 }
 
 TEST(BatchRunner, JobsForCountsShardsNotTrials) {
-  BatchRunnerOptions options;
-  options.batch = 8;
-  options.runner.jobs = 16;
-  BatchRunner runner(options);
-  EXPECT_EQ(runner.batch(), 8u);
-  // 20 trials / batch 8 = 3 shards; the pool is clamped to shards (and to
-  // hardware, but 3 <= any hardware count this code runs on... no — the
-  // clamp also caps at options.jobs resolved vs hardware; assert <= 3).
-  EXPECT_LE(runner.jobs_for(20), 3);
-  EXPECT_GE(runner.jobs_for(20), 1);
-  EXPECT_EQ(runner.jobs_for(0), 1);  // degenerate: pool floor is 1
+  // 20 trials in shards of 8 make 3 shards, so at most 3 of the 16
+  // requested workers run, and each shard stays on one thread.
+  TrialRunnerOptions options;
+  options.jobs = 16;
+  TrialRunner runner(options);
+  std::vector<std::thread::id> owner(20);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  runner.run_sharded(owner.size(), 8, kQuantum, [&](const TrialContext& ctx) {
+    owner[ctx.index] = std::this_thread::get_id();
+    std::lock_guard<std::mutex> lock(mu);
+    threads.insert(owner[ctx.index]);
+    return std::make_unique<CountingTrial>(ctx, 1, nullptr, nullptr);
+  });
+  EXPECT_LE(threads.size(), 3u);
+  for (std::size_t i = 0; i < owner.size(); ++i) {
+    EXPECT_EQ(owner[i], owner[i / 8 * 8]) << "trial " << i;
+  }
 }
 
 TEST(BatchRunner, BatchZeroClampsToOneAndZeroTrialsIsANoOp) {
-  BatchRunnerOptions options;
-  options.batch = 0;
-  options.quantum = Duration::zero();
-  BatchRunner runner(options);
-  EXPECT_EQ(runner.batch(), 1u);
-  bool made = false;
-  runner.run(0, [&made](const TrialContext&) -> std::unique_ptr<LockstepTrial> {
-    made = true;
-    return nullptr;
+  // Shard size 0 runs as shards of 1: each trial is constructed,
+  // advanced and finished before the next one is constructed.
+  TrialRunner runner;
+  std::vector<std::string> journal;
+  runner.run_sharded(2, 0, kQuantum, [&journal](const TrialContext& ctx) {
+    return std::make_unique<CountingTrial>(ctx, 1, nullptr, &journal);
   });
+  const std::vector<std::string> expected = {"c0", "a0", "f0",
+                                             "c1", "a1", "f1"};
+  EXPECT_EQ(journal, expected);
+  EXPECT_EQ(runner.trials_run(), 2u);
+
+  bool made = false;
+  runner.run_sharded(
+      0, 4, kQuantum,
+      [&made](const TrialContext&) -> std::unique_ptr<LockstepTrial> {
+        made = true;
+        return nullptr;
+      });
   EXPECT_FALSE(made);
-  EXPECT_EQ(runner.trials_run(), 0u);
+  EXPECT_EQ(runner.trials_run(), 2u);
+
+  // A non-positive quantum would never advance a trial.
+  EXPECT_THROW(runner.run_sharded(1, 1, Duration::zero(),
+                                  [](const TrialContext&)
+                                      -> std::unique_ptr<LockstepTrial> {
+                                    return nullptr;
+                                  }),
+               std::invalid_argument);
 }
 
 TEST(BatchRunner, NullFactoryResultSkipsTheSlot) {
-  BatchRunnerOptions options;
-  options.batch = 4;
-  BatchRunner runner(options);
+  TrialRunner runner;
   std::vector<int> slots(6, -1);
-  runner.run(slots.size(),
-             [&slots](const TrialContext& ctx) -> std::unique_ptr<LockstepTrial> {
-               if (ctx.index == 2) return nullptr;
-               return std::make_unique<CountingTrial>(ctx, 1, &slots, nullptr);
-             });
+  runner.run_sharded(
+      slots.size(), 4, kQuantum,
+      [&slots](const TrialContext& ctx) -> std::unique_ptr<LockstepTrial> {
+        if (ctx.index == 2) return nullptr;
+        return std::make_unique<CountingTrial>(ctx, 1, &slots, nullptr);
+      });
   for (std::size_t i = 0; i < slots.size(); ++i) {
     EXPECT_EQ(slots[i], i == 2 ? -1 : 1) << "trial " << i;
   }
@@ -200,11 +226,10 @@ std::string sharded_metrics_json(std::size_t batch, int jobs,
                                  std::size_t trials) {
   obs::MetricsRegistry registry;
   obs::install_metrics(&registry);
-  BatchRunnerOptions options;
-  options.batch = batch;
-  options.runner.jobs = jobs;
-  BatchRunner runner(options);
-  runner.run(trials, [](const TrialContext& ctx) {
+  TrialRunnerOptions options;
+  options.jobs = jobs;
+  TrialRunner runner(options);
+  runner.run_sharded(trials, batch, kQuantum, [](const TrialContext& ctx) {
     return std::make_unique<ObsEmittingTrial>(ctx, quanta_for(ctx.index));
   });
   obs::install_metrics(nullptr);
@@ -239,11 +264,10 @@ TEST(BatchRunner, TraceEventsMergeInSubmissionOrderAcrossShards) {
   for (std::size_t batch : {std::size_t{1}, std::size_t{3}}) {
     obs::TraceRecorder recorder(1024);
     obs::install_tracer(&recorder);
-    BatchRunnerOptions options;
-    options.batch = batch;
-    options.runner.jobs = 4;
-    BatchRunner runner(options);
-    runner.run(std::size_t{12}, [](const TrialContext& ctx) {
+    TrialRunnerOptions options;
+    options.jobs = 4;
+    TrialRunner runner(options);
+    runner.run_sharded(12, batch, kQuantum, [](const TrialContext& ctx) {
       return std::make_unique<ObsEmittingTrial>(ctx, 1);
     });
     obs::install_tracer(nullptr);
@@ -282,18 +306,17 @@ class ThrowingTrial final : public LockstepTrial {
 
 TEST(BatchRunner, ThrowingTrialIsCapturedAndShardMatesFinish) {
   for (std::size_t batch : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-    BatchRunnerOptions options;
-    options.batch = batch;
-    options.runner.jobs = 2;
-    BatchRunner runner(options);
+    TrialRunnerOptions options;
+    options.jobs = 2;
+    TrialRunner runner(options);
     std::vector<int> slots(10, -1);
     try {
-      runner.run(slots.size(), [&slots](const TrialContext& ctx) {
-        // Trials 2 and 7 blow up mid-lockstep; everyone else completes.
-        const int throw_at =
-            (ctx.index == 2 || ctx.index == 7) ? 1 : -1;
-        return std::make_unique<ThrowingTrial>(ctx, throw_at, &slots);
-      });
+      runner.run_sharded(
+          slots.size(), batch, kQuantum, [&slots](const TrialContext& ctx) {
+            // Trials 2 and 7 blow up mid-lockstep; everyone else completes.
+            const int throw_at = (ctx.index == 2 || ctx.index == 7) ? 1 : -1;
+            return std::make_unique<ThrowingTrial>(ctx, throw_at, &slots);
+          });
       FAIL() << "expected rethrow (batch=" << batch << ")";
     } catch (const std::runtime_error& e) {
       // First by submission order, regardless of shard layout.
@@ -307,18 +330,15 @@ TEST(BatchRunner, ThrowingTrialIsCapturedAndShardMatesFinish) {
 }
 
 TEST(BatchRunner, ThrowingFactoryIsCapturedAndShardMatesStillRun) {
-  BatchRunnerOptions options;
-  options.batch = 4;
-  BatchRunner runner(options);
+  TrialRunner runner;
   std::vector<int> slots(4, -1);
   EXPECT_THROW(
-      runner.run(slots.size(),
-                 [&slots](const TrialContext& ctx)
-                     -> std::unique_ptr<LockstepTrial> {
-                   if (ctx.index == 1) throw std::runtime_error("ctor boom");
-                   return std::make_unique<CountingTrial>(ctx, 2, &slots,
-                                                          nullptr);
-                 }),
+      runner.run_sharded(
+          slots.size(), 4, kQuantum,
+          [&slots](const TrialContext& ctx) -> std::unique_ptr<LockstepTrial> {
+            if (ctx.index == 1) throw std::runtime_error("ctor boom");
+            return std::make_unique<CountingTrial>(ctx, 2, &slots, nullptr);
+          }),
       std::runtime_error);
   EXPECT_EQ(slots[0], 2);
   EXPECT_EQ(slots[1], -1);
@@ -538,18 +558,15 @@ TEST(BatchRunner, StragglersWithFaultPlansFallBackPerTrialInsideAFusedShard) {
     SCOPED_TRACE(even_lanes_fuse ? "even lanes fused" : "every lane declines");
     std::vector<scenario::DuelReport> sharded(kTrials);
     std::vector<std::uint64_t> faults(kTrials, 0);
-    run_lockstep_shard(
-        kTrials, Duration::from_sec(1),
-        [&](std::size_t i) {
-          return std::make_unique<FaultedDuelLockstepTrial>(
-              seed_for(i), spec_for(i),
-              /*offer_engine=*/even_lanes_fuse && i % 2 == 0, &sharded[i],
-              &faults[i]);
-        },
-        [](std::size_t, const std::function<void()>& fn) { fn(); },
-        [](std::size_t slot, std::exception_ptr) {
-          FAIL() << "trial " << slot << " threw";
-        });
+    TrialRunner runner;
+    runner.run_sharded(kTrials, kTrials, kQuantum,
+                       [&](const TrialContext& ctx) {
+                         const std::size_t i = ctx.index;
+                         return std::make_unique<FaultedDuelLockstepTrial>(
+                             seed_for(i), spec_for(i),
+                             /*offer_engine=*/even_lanes_fuse && i % 2 == 0,
+                             &sharded[i], &faults[i]);
+                       });
 
     for (std::size_t i = 0; i < kTrials; ++i) {
       expect_reports_equal(reference[i], sharded[i], i, kTrials);

@@ -10,7 +10,9 @@
 
 #include <cerrno>
 #include <csignal>
+#include <cstdio>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -140,18 +142,61 @@ TEST(ForkServer, DeterministicExceptionIsNotRetried) {
   expect_no_orphans();
 }
 
-TEST(ForkServer, RunCollectRethrowsTheLowestIndexError) {
-  sim::ForkServer server;
+TEST(ForkGroups, RethrowTheLowestIndexErrorAndSkipLaterGroups) {
+  // Groups {0,1,2} {3,4,5} {6}: indices 4 and 5 throw, so the second
+  // group fails with index 4's error and the third never forks.
+  const std::string marks = testing::TempDir() + "/fork_groups_" +
+                            std::to_string(::getpid()) + "_";
   try {
-    server.run_collect(first(4), [](std::size_t index) {
-      if (index == 1) throw std::runtime_error("branch one failed");
-      if (index == 3) throw std::runtime_error("branch three failed");
+    sim::run_fork_groups(7, 3, {}, [&](std::size_t index) {
+      std::FILE* f = std::fopen((marks + std::to_string(index)).c_str(), "w");
+      if (f != nullptr) std::fclose(f);
+      if (index == 4) throw std::runtime_error("branch four failed");
+      if (index == 5) throw std::runtime_error("branch five failed");
       return tag(index);
     });
-    FAIL() << "run_collect did not throw";
+    FAIL() << "run_fork_groups did not throw";
   } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "branch one failed");
+    EXPECT_STREQ(e.what(), "branch four failed");
   }
+  for (std::size_t index = 0; index < 7; ++index) {
+    const std::string mark = marks + std::to_string(index);
+    EXPECT_EQ(exists(mark), index < 6) << "index " << index;
+    std::remove(mark.c_str());
+  }
+  expect_no_orphans();
+}
+
+TEST(ForkGroups, WarmPrefixRunsOncePerGroupUnderInheritedGroupSinks) {
+  obs::MetricsRegistry session;
+  obs::install_metrics(&session);
+  int prefixes = 0;
+  int destroyed = 0;
+  const auto payloads = sim::run_fork_groups(
+      5, 2, {}, nullptr, [&](std::size_t base) -> sim::ForkServer::Body {
+        ++prefixes;
+        obs::metrics()->counter("prefix").inc();
+        // The warm state lives exactly as long as the group's body.
+        std::shared_ptr<std::size_t> state(
+            new std::size_t(base), [&destroyed](std::size_t* p) {
+              ++destroyed;
+              delete p;
+            });
+        return [state](std::size_t index) {
+          obs::metrics()->counter("branch").inc();
+          return std::to_string(*state) + "/" + std::to_string(index);
+        };
+      });
+  obs::install_metrics(nullptr);
+
+  EXPECT_EQ(payloads, (std::vector<std::string>{"0/0", "0/1", "2/2", "2/3",
+                                                "4/4"}));
+  EXPECT_EQ(prefixes, 3);
+  EXPECT_EQ(destroyed, 3);
+  // Every branch stream carries its group's prefix record; the prefix
+  // itself recorded into the group sinks, never into the session's.
+  EXPECT_EQ(session.counter("prefix").value(), 5u);
+  EXPECT_EQ(session.counter("branch").value(), 5u);
   expect_no_orphans();
 }
 

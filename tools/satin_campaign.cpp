@@ -12,17 +12,15 @@
 //   --out=PATH        stats JSON       (default: SPEC + ".stats.json")
 //   --jobs=N          concurrent trial child processes (default: spec's
 //                     `jobs`)
-//   --shard=N         in-process lockstep shard size (default: spec's
-//                     `shard`; 0 = one child process per trial)
 //   --timeout=SECS    per-trial wedge timeout (default: spec's)
 //   --max-retries=N   per-trial retry budget  (default: spec's)
 //   --chaos-kill-trial=I / --chaos-hang-trial=I / --chaos-kill-after=N
 //                     deterministic crash injection for the CI audit
 //
-// A malformed numeric flag value exits 2. The sweep-only fork flags
-// --branches= / --fork-prefix= are refused with exit 2: a campaign runs
-// one child process per trial or, with --shard=N, in-process lockstep
-// shards.
+// A malformed numeric flag value exits 2. Every trial runs in its own
+// child process, with its fault plan taken from the spec, so the sweep
+// and bench flags --branches= / --fork-prefix= / --batch= / --shard= /
+// --faults= are refused with exit 2 instead of being silently ignored.
 //
 // Exit codes: 0 = campaign complete, 2 = usage / spec / journal error,
 // 3 = campaign finished DEGRADED (some trials permanently failed; partial
@@ -47,7 +45,7 @@ using satin::campaign::CampaignSpec;
 int usage() {
   std::fprintf(stderr,
                "usage: satin_campaign run      SPEC.json [--journal=P] "
-               "[--out=P] [--jobs=N] [--shard=N] "
+               "[--out=P] [--jobs=N] "
                "[--timeout=S] [--max-retries=N]\n"
                "       satin_campaign resume   SPEC.json [same flags]\n"
                "       satin_campaign status   JOURNAL\n"
@@ -111,13 +109,11 @@ int cmd_run(int argc, char** argv, bool resume, int jobs_override) {
   options.jobs = jobs_override;
   options.journal_path = take_flag(argc, argv, "journal");
   options.stats_path = take_flag(argc, argv, "out");
-  const std::string shard = take_flag(argc, argv, "shard");
   const std::string timeout = take_flag(argc, argv, "timeout");
   const std::string retries = take_flag(argc, argv, "max-retries");
   const std::string kill_trial = take_flag(argc, argv, "chaos-kill-trial");
   const std::string hang_trial = take_flag(argc, argv, "chaos-hang-trial");
   const std::string kill_after = take_flag(argc, argv, "chaos-kill-after");
-  if (!shard.empty()) options.shard = parse_number<int>("--shard", shard);
   if (!timeout.empty()) {
     options.trial_timeout_s = parse_number<double>("--timeout", timeout);
   }
@@ -178,14 +174,24 @@ int cmd_run(int argc, char** argv, bool resume, int jobs_override) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // ObsSession would swallow the sweep-only fork flags; refuse them here.
+  // ObsSession would swallow these flags and nothing would read them;
+  // refuse them here.
+  struct Refused {
+    const char* prefix;
+    const char* why;
+  };
+  const Refused refused[] = {
+      {"--branches=", "every trial runs in its own child process"},
+      {"--fork-prefix=", "every trial runs in its own child process"},
+      {"--batch=", "every trial runs in its own child process"},
+      {"--shard=", "every trial runs in its own child process"},
+      {"--faults=", "the fault plan is the spec's \"faults\" key"},
+  };
   for (int i = 1; i < argc; ++i) {
-    for (const char* flag : {"--branches=", "--fork-prefix="}) {
-      if (std::strncmp(argv[i], flag, std::strlen(flag)) == 0) {
-        std::fprintf(stderr,
-                     "satin_campaign: %s is a sweep flag; campaigns run "
-                     "one child process per trial or --shard=N\n",
-                     argv[i]);
+    for (const Refused& r : refused) {
+      if (std::strncmp(argv[i], r.prefix, std::strlen(r.prefix)) == 0) {
+        std::fprintf(stderr, "satin_campaign: %s is not a campaign flag: %s\n",
+                     argv[i], r.why);
         return 2;
       }
     }
