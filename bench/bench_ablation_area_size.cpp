@@ -28,6 +28,7 @@ struct AblationRow {
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  satin::obs::refuse_leftover_args(argc, argv);
   using namespace satin;
   const int jobs = obs.jobs(/*fallback=*/1);
   const std::size_t bound =

@@ -55,6 +55,7 @@ struct ThresholdRow {
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  satin::obs::refuse_leftover_args(argc, argv);
   using namespace satin;
   const int jobs = obs.jobs(/*fallback=*/1);
   bench::heading("Ablation: randomization knobs");

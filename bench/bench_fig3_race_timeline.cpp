@@ -129,6 +129,7 @@ void print_timeline(const char* title, const Timeline& tl) {
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  satin::obs::refuse_leftover_args(argc, argv);
   using namespace satin;
   bench::heading("Fig. 3: the race, measured (times relative to t_start, s)");
   const auto bench_start = std::chrono::steady_clock::now();

@@ -157,6 +157,29 @@ int main(int argc, char** argv) {
       !ramp.empty()) {
     ramp_s = std::max(0.0, satin::obs::parse_number<double>("--ramp-s", ramp));
   }
+  // How the spot-duel ladder runs, never what it prints: --batch=K runs
+  // lockstep shards of K duels, --branches=N fork children in groups of
+  // N, and --fork-prefix=S shares each group's warm prefix (boot, warm-up,
+  // ramp) across its children.
+  const int batch = bench::take_count_flag(argc, argv, "batch", 1);
+  const int branches = bench::take_count_flag(argc, argv, "branches", 0);
+  double fork_prefix_s = 0.0;
+  if (const std::string prefix =
+          satin::obs::take_flag(argc, argv, "fork-prefix");
+      !prefix.empty()) {
+    fork_prefix_s = satin::obs::parse_number<double>("--fork-prefix", prefix);
+    if (!(fork_prefix_s >= 0.0)) {  // also rejects NaN
+      std::fprintf(stderr, "--fork-prefix=%s must be >= 0\n", prefix.c_str());
+      return 2;
+    }
+  }
+  satin::obs::refuse_leftover_args(argc, argv);
+  if (branches > 0 && batch > 1) {
+    std::fprintf(stderr,
+                 "bench_race_analysis: --branches and --batch are mutually "
+                 "exclusive\n");
+    return 2;
+  }
   hw::TimingParams timing;
   const int jobs = obs.jobs(/*fallback=*/1);
 
@@ -212,14 +235,6 @@ int main(int argc, char** argv) {
   std::vector<char> caught(kProbeCount, 0);
   std::size_t duel_trials = 0;
   double duel_wall_s = 0.0;
-  const int batch = obs.batch(/*fallback=*/1);
-  const int branches = obs.branches(/*fallback=*/0);
-  if (branches > 0 && batch > 1) {
-    std::fprintf(stderr,
-                 "bench_race_analysis: --branches and --batch are mutually "
-                 "exclusive\n");
-    return 2;
-  }
   if (branches > 0) {
     // COW fork ladder (sim/fork.h): probes grouped into branch groups.
     // --fork-prefix=0 is the byte-identity oracle (each child replays its
@@ -240,7 +255,7 @@ int main(int argc, char** argv) {
       return std::string(c ? "1" : "0");
     };
     sim::GroupPrefix warm_prefix;
-    if (obs.fork_prefix_s() > 0.0) {
+    if (fork_prefix_s > 0.0) {
       warm_prefix = [&](std::size_t) -> sim::ForkServer::Body {
         auto trial = std::make_shared<SpotDuelTrial>();
         if (ramp_s > 0.0) trial->advance(sim::Duration::from_sec_f(ramp_s));

@@ -10,7 +10,9 @@
 // Three seed replicas run through scenario::run_duel_sweep over --jobs=J
 // workers. Replica 0 keeps the paper-baseline platform seed (its rows
 // below match the single-run bench of record); the extra replicas feed
-// the seed-stability summary.
+// the seed-stability summary. --jobs is the duel's only execution knob:
+// --batch=, --branches= and --fork-prefix= exit 2, like any argument the
+// bench does not read. --batch=K belongs to the --clean-rounds workload.
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -118,9 +120,9 @@ class CleanRoundsTrial final : public satin::sim::LockstepTrial {
 // authorization, the first-cycle hash of every chunk — it is the
 // headline A/B for --batch=K against K sequential --batch=1 runs in
 // scripts/run_benches.sh.
-int run_clean_rounds(std::uint64_t target, satin::bench::ObsGuard& obs) {
+int run_clean_rounds(std::uint64_t target, int batch,
+                     satin::bench::ObsGuard& obs) {
   using namespace satin;
-  const int batch = obs.batch(/*fallback=*/1);
   const std::string name = std::string("bench_satin_detection_clean_") +
                            (secure::digest_cache_default() ? "on" : "off");
   if (batch > 1) {
@@ -172,29 +174,19 @@ int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
   using namespace satin;
   const std::uint64_t clean_rounds = take_clean_rounds(argc, argv);
-  if (clean_rounds > 0) return run_clean_rounds(clean_rounds, obs);
+  if (clean_rounds > 0) {
+    const int batch = bench::take_count_flag(argc, argv, "batch", 1);
+    satin::obs::refuse_leftover_args(argc, argv);
+    return run_clean_rounds(clean_rounds, batch, obs);
+  }
+  satin::obs::refuse_leftover_args(argc, argv);
   constexpr std::size_t kReplicas = 3;
 
   scenario::DuelSweepConfig sweep_config;
   sweep_config.duel.rounds_target = 190;  // defaults ARE the paper config
   sweep_config.trials = kReplicas;
   sweep_config.jobs = obs.jobs(/*fallback=*/1);
-  // --batch=K: lockstep shards of K trials. A pure speed knob — every
-  // stdout row below is byte-identical to --batch=1 (one trial at a time,
-  // the run of record), which CI diffs.
-  sweep_config.batch = obs.batch(/*fallback=*/1);
   sweep_config.flight_ring = obs.flight_ring();
-  // --branches=N: COW fork branch groups (sim/fork.h). With no
-  // --fork-prefix this replays each replica from scratch in a child —
-  // byte-identical to the in-process run (CI-gated). --fork-prefix=S
-  // shares S simulated seconds across a group and diverges each branch
-  // by the default RNG perturbation — CI's negative control.
-  sweep_config.branches = obs.branches(/*fallback=*/0);
-  sweep_config.fork_prefix_s = obs.fork_prefix_s();
-  if (sweep_config.branches > 0 && sweep_config.batch > 1) {
-    std::fprintf(stderr, "--branches and --batch are mutually exclusive\n");
-    return 2;
-  }
 
   std::printf(
       "running %zu replicas of 190 introspection rounds (~1520 simulated s "

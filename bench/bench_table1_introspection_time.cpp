@@ -40,6 +40,7 @@ Row measure(scenario::Scenario& s, hw::CoreId core,
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  satin::obs::refuse_leftover_args(argc, argv);
   using namespace satin;
   scenario::Scenario s;
 

@@ -45,6 +45,7 @@ struct PeriodStats {
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  satin::obs::refuse_leftover_args(argc, argv);
   using namespace satin;
   hw::TimingParams timing;
   const int jobs = obs.jobs(/*fallback=*/1);

@@ -12,6 +12,7 @@
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  satin::obs::refuse_leftover_args(argc, argv);
   using namespace satin;
   const auto bench_start = std::chrono::steady_clock::now();
   scenario::Scenario s;

@@ -72,6 +72,7 @@ ProbeOutcome measure(bool with_load, double threshold_s) {
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  satin::obs::refuse_leftover_args(argc, argv);
   using namespace satin;
   bench::heading("User-level prober detection delay Tns_delay (§III-B1)");
 

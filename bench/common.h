@@ -8,7 +8,9 @@
 // global TraceRecorder/MetricsRegistry is installed for the run, and the
 // files are written when the guard goes out of scope. Benches run
 // fault-free (the examples take --faults=), so the guard refuses
-// --faults= with exit 2 instead of silently running unfaulted.
+// --faults= with exit 2 instead of silently running unfaulted. A bench
+// takes its own flags after the guard, then calls
+// obs::refuse_leftover_args, so an unknown argument exits 2 too.
 #pragma once
 
 #include <cstdio>
@@ -42,6 +44,21 @@ class ObsGuard : public obs::ObsSession {
     return argc;
   }
 };
+
+// Strips --<key>=N (a shard size or branch count) from argv; `fallback`
+// when absent. A junk value or one below 1 prints a diagnostic and exits 2.
+inline int take_count_flag(int& argc, char** argv, const char* key,
+                           int fallback) {
+  const std::string value = obs::take_flag(argc, argv, key);
+  if (value.empty()) return fallback;
+  const std::string flag = std::string("--") + key;
+  const int count = obs::parse_number<int>(flag.c_str(), value);
+  if (count < 1) {
+    std::fprintf(stderr, "%s=%s must be >= 1\n", flag.c_str(), value.c_str());
+    std::exit(2);
+  }
+  return count;
+}
 
 inline void heading(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());

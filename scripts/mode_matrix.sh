@@ -19,8 +19,8 @@
 #  * negative controls — runs that MUST diverge: satin_flightool diff
 #    exits 1 and locates the first divergent record, which proves the
 #    auditor tells streams apart rather than agreeing with itself;
-#  * refusals — flags and spec keys with nothing to tune must exit 2
-#    with a diagnostic naming them.
+#  * refusals — flags a program does not read, out-of-range values and
+#    dead spec keys must exit 2 with a diagnostic naming them.
 set -uo pipefail
 
 if [ $# -lt 1 ]; then
@@ -102,10 +102,7 @@ storm_plan='bitflip@10s+60s:p=0.2'
 # The default invocations are the oracles: one trial at a time (--jobs=1,
 # --batch=1), unforked, digest cache on.
 run det           "$ring" "$det"
-run det_batch8    "$ring" "$det" --batch=8
 run det_jobs8     "$ring" "$det" --jobs=8
-run det_branches3 "$ring" "$det" --branches=3
-run det_warm      "$ring" "$det" --branches=3 --fork-prefix=100
 run clean_on      ""      "$det" --clean-rounds=400 --digest-cache=on \
   --trace="$work/clean_on.trace.json"
 run clean_off     ""      "$det" --clean-rounds=400 --digest-cache=off \
@@ -118,25 +115,24 @@ run race_b8       ""      "$race" --branches=8
 run race_j2       ""      "$race" --batch=1 --jobs=2
 run race_j2_s8    ""      "$race" --batch=8 --jobs=2
 run race_j2_s4    ""      "$race" --batch=4 --jobs=2
+run race_ramp1    ""      "$race" --ramp-s=1
 run storm_base    ""      "$storm" --faults="seed=9,$storm_plan"
 run storm_pert    ""      "$storm" --faults="seed=10,$storm_plan"
 
 # ---- identities --------------------------------------------------------
 #    oracle    mode           artifacts
-same det       det_batch8     out met flt   # lockstep shards, fused pass
 same det       det_jobs8      out met flt   # thread pool
-same det       det_branches3  out met flt   # zero-prefix fork children
 same clean_on  clean_off      out jsonl met flt  # digest cache off
 same quick_on  quick_off      out met            # digest cache off
 same race      race_b3        out met flt   # zero-prefix fork children
 same race      race_b8        out met flt
-same race_j2   race_j2_s8     out met flt   # shards under the pool
+same race_j2   race_j2_s8     out met flt   # lockstep shards, fused pass
 same race_j2   race_j2_s4     out met flt
 grep -q '"digest_cache.hits": [1-9]' "$work/clean_on.met.json" ||
   fail "clean_on: the digest cache never hit"
 
 # ---- negative controls -------------------------------------------------
-diverges det        det_warm     # warm prefix + seed perturbation
+diverges race       race_ramp1   # idle ramp: same verdicts, new schedule
 diverges storm_base storm_pert   # perturbed fault plan
 
 # ---- refusals ------------------------------------------------------------
@@ -160,6 +156,15 @@ for flag in --branches=2 --fork-prefix=5 --batch=4 --shard=2 \
     --journal="$work/refused.journal" "$flag"
 done
 refuses "--faults=seed=9" "$race" --faults=seed=9
+# Each bench reads only its own flags and names any other argument; the
+# detection duel runs on the thread pool alone.
+for flag in --batch=8 --branches=3 --fork-prefix=100; do
+  refuses "$flag" "$det" "$flag"
+done
+refuses "--batch=0" "$det" --clean-rounds=10 --batch=0
+for flag in --branch=3 --batch=0 --branches=0 --fork-prefix=-1 --jobs=-3; do
+  refuses "$flag" "$race" "$flag"
+done
 
 echo "mode matrix: $identities identities, $controls negative controls," \
   "$refusals refusals; $failures failed (outputs in $work)"

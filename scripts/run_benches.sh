@@ -1,489 +1,150 @@
 #!/usr/bin/env bash
-# Runs the reproduction benches and collects machine-readable timings into
-# BENCH_pr9.json: per-bench wall-clock, the BENCHJSON self-reports the
-# parallel benches print on stderr (trials, jobs, trials/sec), the digest
-# cache counters and engine memory-model gauges from each bench's metrics
-# snapshot, the bench_micro event-churn + draw-pipeline allocation audit
-# (steady state must be 0 allocs/event and 0 allocs/draw), a cache-on vs
-# cache-off comparison of the hash-dominated clean-rounds workload, and a
-# paired interleaved A/B of lockstep shard width --batch=1 (the run of
-# record) vs --batch=K on bench_satin_detection. The A/B interleaves the
-# two widths and compares USER-time medians because this
-# host's wall clock drifts ±15-25% across a session — a pair measured
-# back-to-back and a median over n pairs are robust to that; two single
-# runs an hour apart are not. PR-9 adds a second paired A/B on
-# bench_race_analysis's offset ladder: unforked --ramp-s=$FORK_RAMP_S vs
-# the warm-prefix COW fork backend (--branches=$FORK_BRANCHES
-# --fork-prefix=1), gated at >= 1.5x user time. PR-10 adds the fused
-# lockstep engine pass A/Bs: the gated one runs the hash-dominated
-# clean-rounds workload as one --batch=$FUSED_K shard against
-# $FUSED_K sequential --batch=1 runs (user time summed) and must clear
-# 1.3x user time; an ungated info A/B compares --batch=1 with
-# --batch=$FUSED_K on the event-bound bench_race_analysis duel ladder,
-# where the shareable per-trial cost is a small fraction of the profile
-# (see EXPERIMENTS.md for the split). Run from anywhere; builds are NOT
-# triggered here — point BUILD_DIR at an existing build (default
-# <repo>/build).
+# The gated bench checks that perfbench/ (the one end-to-end timing
+# trajectory) does not cover, with results printed to stdout:
 #
-#   scripts/run_benches.sh                 # all benches, --jobs=$(nproc)
-#   JOBS=1 scripts/run_benches.sh          # serial baseline
-#   scripts/run_benches.sh --local         # write untracked BENCH_local.json
-#   OUT=/tmp/b.json scripts/run_benches.sh # custom output path
-#   scripts/run_benches.sh bench_race_analysis   # subset
-#   AB_PAIRS=4 BATCH_K=4 scripts/run_benches.sh bench_satin_detection
+#  * alloc — bench_micro's event-churn and draw-pipeline benches must
+#    report exactly 0 allocs per event and per draw;
+#  * cache — the hash-dominated --clean-rounds workload with the digest
+#    cache on and off: stdout must be byte-identical;
+#  * fork  — paired, interleaved A/B of bench_race_analysis's spot-duel
+#    ladder (--ramp-s=$FORK_RAMP_S), unforked against warm-prefix fork
+#    children (--branches=$FORK_BRANCHES --fork-prefix=1): stdout must be
+#    identical in every pair and the user-time ratio of medians >= 1.5x;
+#  * fused — paired A/B of $FUSED_K sequential --clean-rounds --batch=1
+#    runs against one --batch=$FUSED_K lockstep shard: stdout identical,
+#    user-time ratio of medians >= 1.3x.
+#
+# The A/Bs compare USER time over interleaved pairs because wall time on
+# a shared host drifts by more than the effects measured. Builds are not
+# triggered here: point BUILD_DIR at an existing (Release) build, default
+# <repo>/build. Exits 1 when any gate fails.
+#
+#   scripts/run_benches.sh              # all four gates
+#   scripts/run_benches.sh cache fused  # a subset
+#   FORK_PAIRS=3 FUSED_PAIRS=3 scripts/run_benches.sh fork fused
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${BUILD_DIR:-$repo/build}"
-jobs="${JOBS:-$(nproc)}"
-out="${OUT:-$repo/BENCH_pr10.json}"
-# Baseline for the delta table: the newest committed BENCH_pr*.json that
-# isn't this run's own output (version-sorted, so pr10 beats pr9).
-# Override with BASELINE=path.
-auto_baseline="$(ls -1v "$repo"/BENCH_pr*.json 2>/dev/null |
-                 grep -vFx "$out" | tail -1 || true)"
-baseline="${BASELINE:-$auto_baseline}"
-# Fail loudly on an unparseable baseline instead of emitting a silently
-# empty delta table: a truncated or hand-mangled BENCH_pr*.json would
-# otherwise read as "no baseline, nothing to compare".
-if [ -n "$baseline" ] && [ -f "$baseline" ]; then
-  if ! python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$baseline" \
-      2>/tmp/baseline_parse_err; then
-    echo "run_benches.sh: baseline $baseline is not valid JSON:" >&2
-    sed 's/^/  /' /tmp/baseline_parse_err >&2
-    echo "fix or delete it, or point BASELINE= at a good record" >&2
-    exit 1
-  fi
-fi
-clean_rounds="${CLEAN_ROUNDS:-1900}"
-if [ "${1:-}" = "--local" ]; then
-  out="${OUT:-$repo/BENCH_local.json}"
-  shift
-fi
+gates=("$@")
+[ "${#gates[@]}" -gt 0 ] || gates=(alloc cache fork fused)
 
-# Benches/examples that accept --jobs (fanned over sim::TrialRunner),
-# then the serial ones — everything still gets wall-clock timed.
-parallel_benches=(
-  bench/bench_race_analysis
-  bench/bench_fig4_threshold_stability
-  bench/bench_table2_probing_threshold
-  bench/bench_ablation_area_size
-  bench/bench_ablation_randomization
-  bench/bench_satin_detection
-  examples/overhead_study
-  examples/fault_storm
-)
-serial_benches=(
-  bench/bench_table1_introspection_time
-  bench/bench_tswitch_recovery
-  bench/bench_fig3_race_timeline
-  bench/bench_userprober
-  bench/bench_fig7_overhead
-)
-
-if [ "$#" -gt 0 ]; then
-  filtered=()
-  for b in "${parallel_benches[@]}" "${serial_benches[@]}"; do
-    for want in "$@"; do
-      [ "$(basename "$b")" = "$want" ] && filtered+=("$b")
-    done
-  done
-  benches=("${filtered[@]}")
-else
-  benches=("${parallel_benches[@]}" "${serial_benches[@]}")
-fi
-
-is_parallel() {
-  local b
-  for b in "${parallel_benches[@]}"; do
-    [ "$b" = "$1" ] && return 0
-  done
-  return 1
-}
-
-tmp_err="$(mktemp)"
-tmp_metrics="$(mktemp)"
-trap 'rm -f "$tmp_err" "$tmp_metrics" "$tmp_metrics.jsonl"' EXIT
-
-# digest_cache.{hits,misses,invalidations} from a metrics snapshot, as a
-# JSON object (null when the snapshot has no cache counters).
-cache_counters() {
-  python3 - "$1" <<'PY'
-import json, sys
-try:
-    counters = json.load(open(sys.argv[1])).get("counters", {})
-except Exception:
-    print("null"); raise SystemExit
-keys = ("hits", "misses", "invalidations")
-if not any(f"digest_cache.{k}" in counters for k in keys):
-    print("null"); raise SystemExit
-print(json.dumps({k: int(counters.get(f"digest_cache.{k}", 0)) for k in keys}))
-PY
-}
-
-# engine.* memory-model gauges (pool occupancy, inline-vs-fallback
-# callbacks, wheel-vs-heap admission) from a metrics snapshot; null when
-# the snapshot carries none.
-engine_counters() {
-  python3 - "$1" <<'PY'
-import json, sys
-try:
-    gauges = json.load(open(sys.argv[1])).get("gauges", {})
-except Exception:
-    print("null"); raise SystemExit
-keys = ("pool_high_water", "pool_slab_grows", "pool_reuses",
-        "cb_inline", "cb_fallback", "wheel_events", "heap_events")
-if not any(f"engine.{k}" in gauges for k in keys):
-    print("null"); raise SystemExit
-print(json.dumps({k: gauges.get(f"engine.{k}", 0) for k in keys}))
-PY
-}
-
-rows=""
-for b in "${benches[@]}"; do
-  exe="$build/$b"
-  name="$(basename "$b")"
-  if [ ! -x "$exe" ]; then
-    echo "skip $name (not built: $exe)" >&2
-    continue
-  fi
-  args=("--metrics=$tmp_metrics")
-  if is_parallel "$b"; then args+=("--jobs=$jobs"); fi
-  echo "== $name ${args[*]:-}" >&2
-  : >"$tmp_metrics"
-  start="$EPOCHREALTIME"
-  "$exe" "${args[@]}" >/dev/null 2>"$tmp_err"
-  end="$EPOCHREALTIME"
-  wall="$(awk -v a="$start" -v b="$end" 'BEGIN{printf "%.6f", b-a}')"
-  # The bench's own BENCHJSON line (stderr) carries trials/jobs/rate for
-  # just the fanned-out portion; absent for serial benches.
-  self="$(grep -o 'BENCHJSON {.*}' "$tmp_err" | tail -1 | sed 's/^BENCHJSON //' || true)"
-  [ -n "$self" ] || self="null"
-  cache="$(cache_counters "$tmp_metrics")"
-  engine="$(engine_counters "$tmp_metrics")"
-  row="$(printf '{"bench":"%s","wall_s":%s,"jobs":%s,"self":%s,"digest_cache":%s,"engine":%s}' \
-         "$name" "$wall" "$jobs" "$self" "$cache" "$engine")"
-  rows="${rows:+$rows,}$row"
-  echo "   ${wall}s" >&2
-done
-
-# Allocation audit: the engine's zero-allocation contract, measured end
-# to end. Every BM_EventChurn* bench must report exactly 0
-# allocs_per_event, and every draw-pipeline bench (BM_Mt*/BM_Draw*) must
-# report exactly 0 allocs_per_draw, or the script (and the CI gate that
-# reruns this) fails.
-churn="null"
-micro="$build/bench/bench_micro"
-if [ -x "$micro" ] && [ "$#" -eq 0 ]; then
-  echo "== bench_micro event-churn + draw-pipeline allocation audit" >&2
-  churn_json="$(mktemp)"
-  "$micro" --benchmark_filter='BM_EventChurn|BM_Mt|BM_Draw' \
-    --benchmark_format=json >"$churn_json" 2>"$tmp_err"
-  churn="$(python3 - "$churn_json" <<'PY'
-import json, sys
-rows = []
-bad = []
-for b in json.load(open(sys.argv[1])).get("benchmarks", []):
-    for key in ("allocs_per_event", "allocs_per_draw"):
-        alloc = b.get(key)
-        if alloc is None:
-            continue
-        rows.append({"bench": b["name"], key: alloc,
-                     "time_ns": b.get("real_time")})
-        if alloc != 0:
-            bad.append(b["name"])
-if bad:
-    print(f"ERROR: nonzero allocs per event/draw in {bad}", file=sys.stderr)
-    raise SystemExit(1)
-print(json.dumps(rows))
-PY
-)"
-  rm -f "$churn_json"
-  echo "   all churn benches at 0 allocs/event, all draw benches at 0 allocs/draw" >&2
-fi
-
-# Cache on-vs-off on the hash-dominated clean-rounds workload: same
-# simulation twice, stdout must be byte-identical, wall time must not be.
-cache_cmp="null"
 detect="$build/bench/bench_satin_detection"
-if [ -x "$detect" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_satin_detection "* ]]; }; then
-  echo "== bench_satin_detection --clean-rounds=$clean_rounds (cache on vs off)" >&2
-  on_out="$(mktemp)" off_out="$(mktemp)"
-  on_wall=""
-  off_wall=""
-  for mode in on off; do
-    : >"$tmp_metrics"
-    start="$EPOCHREALTIME"
-    "$detect" "--clean-rounds=$clean_rounds" "--digest-cache=$mode" \
-      "--metrics=$tmp_metrics" >"$([ "$mode" = on ] && echo "$on_out" || echo "$off_out")" 2>"$tmp_err"
-    end="$EPOCHREALTIME"
-    wall="$(awk -v a="$start" -v b="$end" 'BEGIN{printf "%.6f", b-a}')"
-    if [ "$mode" = on ]; then on_wall="$wall"; on_cache="$(cache_counters "$tmp_metrics")"; else off_wall="$wall"; fi
-    echo "   --digest-cache=$mode: ${wall}s" >&2
-  done
-  if ! diff -q "$on_out" "$off_out" >/dev/null; then
-    echo "ERROR: clean-rounds stdout differs between --digest-cache=on and off" >&2
-    diff "$on_out" "$off_out" >&2 || true
-    rm -f "$on_out" "$off_out"
-    exit 1
-  fi
-  echo "   stdout identical across modes" >&2
-  speedup="$(awk -v on="$on_wall" -v off="$off_wall" 'BEGIN{printf "%.2f", (on > 0) ? off / on : 0}')"
-  echo "   speedup (off/on): ${speedup}x" >&2
-  cache_cmp="$(printf '{"rounds":%s,"wall_s_on":%s,"wall_s_off":%s,"speedup":%s,"stdout_identical":true,"digest_cache":%s}' \
-               "$clean_rounds" "$on_wall" "$off_wall" "$speedup" "$on_cache")"
-  rm -f "$on_out" "$off_out"
-fi
-
-# Paired interleaved A/B of the lockstep shard width: --batch=1 (one trial
-# at a time, the run of record) vs --batch=$batch_k. Each pair runs width
-# 1 then width K back-to-back and every pair re-checks that stdout is
-# byte-identical across widths (the shard merge contract); medians of
-# USER time over the pairs absorb the host's wall-clock drift, which two
-# single runs taken minutes apart cannot.
-batch_ab="null"
-ab_pairs="${AB_PAIRS:-8}"
-batch_k="${BATCH_K:-8}"
-if [ -x "$detect" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_satin_detection "* ]]; }; then
-  echo "== bench_satin_detection paired A/B: --batch=1 vs --batch=$batch_k (n=$ab_pairs pairs, user-time medians)" >&2
-  a_out="$(mktemp)" b_out="$(mktemp)"
-  a_times=() b_times=() ratios=()
-  for i in $(seq 1 "$ab_pairs"); do
-    ua="$( { TIMEFORMAT='%U'; time "$detect" --batch=1 >"$a_out" 2>"$tmp_err"; } 2>&1 )"
-    ub="$( { TIMEFORMAT='%U'; time "$detect" "--batch=$batch_k" >"$b_out" 2>"$tmp_err"; } 2>&1 )"
-    if ! diff -q "$a_out" "$b_out" >/dev/null; then
-      echo "ERROR: stdout differs between --batch=1 and --batch=$batch_k" >&2
-      diff "$a_out" "$b_out" >&2 || true
-      rm -f "$a_out" "$b_out"
-      exit 1
-    fi
-    a_times+=("$ua")
-    b_times+=("$ub")
-    pair_ratio="$(awk -v a="$ua" -v b="$ub" 'BEGIN{printf "%.3f", (b > 0) ? a / b : 0}')"
-    ratios+=("$pair_ratio")
-    echo "   pair $i/$ab_pairs: width 1 ${ua}s  width $batch_k ${ub}s  (${pair_ratio}x)" >&2
-  done
-  rm -f "$a_out" "$b_out"
-  median() {
-    printf '%s\n' "$@" | sort -g |
-      awk '{v[NR]=$1} END{if (NR%2) print v[(NR+1)/2]; else printf "%.3f\n", (v[NR/2]+v[NR/2+1])/2}'
-  }
-  a_med="$(median "${a_times[@]}")"
-  b_med="$(median "${b_times[@]}")"
-  ab_speedup="$(awk -v a="$a_med" -v b="$b_med" 'BEGIN{printf "%.2f", (b > 0) ? a / b : 0}')"
-  # Two estimators: ratio-of-medians treats the 2n runs as two pools, which
-  # re-admits the drift the pairing was built to cancel (an early quiet
-  # width-1 run gets compared against a late noisy width-K one). The median
-  # of the per-pair ratios is the estimator the paired design motivates —
-  # each ratio is drift-free because its two runs were back-to-back.
-  ab_paired="$(median "${ratios[@]}")"
-  a_list="$(IFS=,; echo "${a_times[*]}")"
-  b_list="$(IFS=,; echo "${b_times[*]}")"
-  r_list="$(IFS=,; echo "${ratios[*]}")"
-  batch_ab="$(printf '{"batch":%s,"pairs":%s,"user_s_width1":[%s],"user_s_widthk":[%s],"pair_ratios":[%s],"user_s_width1_median":%s,"user_s_widthk_median":%s,"speedup":%s,"speedup_paired":%s,"stdout_identical":true}' \
-              "$batch_k" "$ab_pairs" "$a_list" "$b_list" "$r_list" "$a_med" "$b_med" "$ab_speedup" "$ab_paired")"
-  echo "   medians: width 1 ${a_med}s  width $batch_k ${b_med}s  speedup ${ab_speedup}x (median of pair ratios: ${ab_paired}x)" >&2
-fi
-
-# Paired interleaved A/B: warm-prefix COW trial forking on the spot-duel
-# offset ladder. Both sides run the SAME workload — 16 spot duels, each
-# with an idle engagement ramp of $FORK_RAMP_S simulated seconds before
-# the probe — the unforked side re-simulating the ramp per trial, the
-# forked side (--branches=$FORK_BRANCHES --fork-prefix=1) simulating each
-# group's ramp once in the parent and fork()ing the branches off the warm
-# COW image. The spot-duel engagement draws nothing from the platform
-# RNG, so the warm fork is byte-identical to the unforked run here —
-# every pair re-checks stdout — and the user-time ratio is pure prefix
-# amortization. Gated: the ratio-of-medians must clear 1.5x.
-fork_ab="null"
-fork_pairs="${FORK_PAIRS:-5}"
-fork_branches="${FORK_BRANCHES:-8}"
-fork_ramp="${FORK_RAMP_S:-20}"
 race="$build/bench/bench_race_analysis"
-if [ -x "$race" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_race_analysis "* ]]; }; then
-  echo "== bench_race_analysis paired A/B: unforked vs --branches=$fork_branches --fork-prefix=1 (--ramp-s=$fork_ramp, n=$fork_pairs pairs)" >&2
-  a_out="$(mktemp)" b_out="$(mktemp)"
-  a_times=() b_times=() ratios=()
-  for i in $(seq 1 "$fork_pairs"); do
-    ua="$( { TIMEFORMAT='%U'; time "$race" "--ramp-s=$fork_ramp" >"$a_out" 2>"$tmp_err"; } 2>&1 )"
-    ub="$( { TIMEFORMAT='%U'; time "$race" "--ramp-s=$fork_ramp" "--branches=$fork_branches" --fork-prefix=1 >"$b_out" 2>"$tmp_err"; } 2>&1 )"
-    if ! diff -q "$a_out" "$b_out" >/dev/null; then
-      echo "ERROR: stdout differs between unforked and warm-forked ladder" >&2
-      diff "$a_out" "$b_out" >&2 || true
-      rm -f "$a_out" "$b_out"
-      exit 1
+micro="$build/bench/bench_micro"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+median() {
+  printf '%s\n' "$@" | sort -g |
+    awk '{v[NR]=$1} END{if (NR%2) print v[(NR+1)/2]; else printf "%.3f\n", (v[NR/2]+v[NR/2+1])/2}'
+}
+
+# paired_ab <name> <pairs> <gate> <side-a> <side-b>: runs the two shell
+# functions back to back <pairs> times, checks their stdout is identical
+# each time, and fails unless median(user A) / median(user B) >= <gate>.
+paired_ab() {
+  local name=$1 pairs=$2 gate=$3 side_a=$4 side_b=$5 i ua ub
+  local a_times=() b_times=() ratios=()
+  echo "== $name: $side_a vs $side_b (n=$pairs pairs, user-time medians)" >&2
+  for i in $(seq 1 "$pairs"); do
+    ua="$( { TIMEFORMAT='%U'; time "$side_a" >"$tmp/a.out" 2>"$tmp/a.err"; } 2>&1 )" &&
+      ub="$( { TIMEFORMAT='%U'; time "$side_b" >"$tmp/b.out" 2>"$tmp/b.err"; } 2>&1 )" || {
+      echo "$name: FAIL $side_a or $side_b exited nonzero"
+      cat "$tmp/a.err" "$tmp/b.err" >&2
+      return 1
+    }
+    if ! cmp -s "$tmp/a.out" "$tmp/b.out"; then
+      echo "$name: FAIL stdout differs between $side_a and $side_b"
+      diff "$tmp/a.out" "$tmp/b.out" >&2 || true
+      return 1
     fi
     a_times+=("$ua")
     b_times+=("$ub")
-    pair_ratio="$(awk -v a="$ua" -v b="$ub" 'BEGIN{printf "%.3f", (b > 0) ? a / b : 0}')"
-    ratios+=("$pair_ratio")
-    echo "   pair $i/$fork_pairs: unforked ${ua}s  forked ${ub}s  (${pair_ratio}x)" >&2
+    ratios+=("$(awk -v a="$ua" -v b="$ub" 'BEGIN{printf "%.3f", (b > 0) ? a / b : 0}')")
+    echo "   pair $i/$pairs: ${ua}s vs ${ub}s (${ratios[-1]}x)" >&2
   done
-  rm -f "$a_out" "$b_out"
-  median() {
-    printf '%s\n' "$@" | sort -g |
-      awk '{v[NR]=$1} END{if (NR%2) print v[(NR+1)/2]; else printf "%.3f\n", (v[NR/2]+v[NR/2+1])/2}'
-  }
+  local a_med b_med speedup
   a_med="$(median "${a_times[@]}")"
   b_med="$(median "${b_times[@]}")"
-  fork_speedup="$(awk -v a="$a_med" -v b="$b_med" 'BEGIN{printf "%.2f", (b > 0) ? a / b : 0}')"
-  fork_paired="$(median "${ratios[@]}")"
-  if awk -v s="$fork_speedup" 'BEGIN{exit !(s < 1.5)}'; then
-    echo "ERROR: warm-prefix fork speedup ${fork_speedup}x is below the 1.5x gate" >&2
-    exit 1
+  speedup="$(awk -v a="$a_med" -v b="$b_med" 'BEGIN{printf "%.2f", (b > 0) ? a / b : 0}')"
+  # The median of per-pair ratios is reported next to the gated ratio of
+  # medians: each pair ran back to back, so its ratio is drift-free.
+  echo "$name: medians ${a_med}s vs ${b_med}s, speedup ${speedup}x" \
+    "(median pair ratio $(median "${ratios[@]}")x, gate ${gate}x), stdout identical"
+  if awk -v s="$speedup" -v g="$gate" 'BEGIN{exit !(s < g)}'; then
+    echo "$name: FAIL speedup ${speedup}x is below the ${gate}x gate"
+    return 1
   fi
-  a_list="$(IFS=,; echo "${a_times[*]}")"
-  b_list="$(IFS=,; echo "${b_times[*]}")"
-  r_list="$(IFS=,; echo "${ratios[*]}")"
-  fork_ab="$(printf '{"branches":%s,"fork_prefix_s":1,"ramp_s":%s,"pairs":%s,"user_s_unforked":[%s],"user_s_forked":[%s],"pair_ratios":[%s],"user_s_unforked_median":%s,"user_s_forked_median":%s,"speedup":%s,"speedup_paired":%s,"stdout_identical":true}' \
-              "$fork_branches" "$fork_ramp" "$fork_pairs" "$a_list" "$b_list" "$r_list" "$a_med" "$b_med" "$fork_speedup" "$fork_paired")"
-  echo "   medians: unforked ${a_med}s  forked ${b_med}s  speedup ${fork_speedup}x (median of pair ratios: ${fork_paired}x)" >&2
-fi
+}
 
-# Paired interleaved A/B: the fused lockstep engine pass (PR-10) on the
-# workload it targets — K digest-cache steady-state replicas advancing
-# in one shard, where the shareable per-trial fixed cost (kernel image
-# construction, boot-state authorization, the first full hash cycle)
-# dominates the per-trial variable cost. The A side runs K unsharded
-# --batch=1 replicas one after another (user time summed over the K
-# runs), so it pays every fixed cost K times with no shared kernel image
-# / pristine digest base and no merged event frontiers. stdout must stay
-# byte-identical every pair; the ratio-of-medians is gated at >= 1.3x.
-fused_ab="null"
-fused_pairs="${FUSED_PAIRS:-8}"
+gate_alloc() {
+  echo "== bench_micro event-churn + draw-pipeline allocation audit" >&2
+  "$micro" --benchmark_filter='BM_EventChurn|BM_Mt|BM_Draw' \
+    --benchmark_format=json >"$tmp/micro.json" 2>"$tmp/micro.err"
+  python3 - "$tmp/micro.json" <<'PY'
+import json, sys
+rows = [(b["name"], key, b[key])
+        for b in json.load(open(sys.argv[1])).get("benchmarks", [])
+        for key in ("allocs_per_event", "allocs_per_draw") if key in b]
+for name, key, allocs in rows:
+    print(f"alloc: {name}: {allocs} {key.replace('allocs_per_', 'allocs/')}")
+bad = [name for name, _, allocs in rows if allocs != 0]
+if not rows or bad:
+    print(f"alloc: FAIL nonzero allocations in {bad}" if bad
+          else "alloc: FAIL no audited benches ran")
+    raise SystemExit(1)
+PY
+}
+
+gate_cache() {
+  local rounds="${CLEAN_ROUNDS:-1900}" mode
+  echo "== bench_satin_detection --clean-rounds=$rounds, digest cache on vs off" >&2
+  for mode in on off; do
+    "$detect" "--clean-rounds=$rounds" "--digest-cache=$mode" \
+      >"$tmp/cache_$mode.out" 2>"$tmp/cache_$mode.err" || {
+      echo "cache: FAIL --digest-cache=$mode exited nonzero"
+      return 1
+    }
+  done
+  if ! cmp -s "$tmp/cache_on.out" "$tmp/cache_off.out"; then
+    echo "cache: FAIL --clean-rounds stdout differs between cache on and off"
+    diff "$tmp/cache_on.out" "$tmp/cache_off.out" >&2 || true
+    return 1
+  fi
+  echo "cache: --clean-rounds=$rounds stdout identical with the digest cache on and off"
+}
+
+fork_ramp="${FORK_RAMP_S:-20}"
+fork_branches="${FORK_BRANCHES:-8}"
+unforked() { "$race" "--ramp-s=$fork_ramp"; }
+warm_forked() {
+  "$race" "--ramp-s=$fork_ramp" "--branches=$fork_branches" --fork-prefix=1
+}
+gate_fork() { paired_ab fork "${FORK_PAIRS:-5}" 1.5 unforked warm_forked; }
+
 fused_k="${FUSED_K:-8}"
 fused_rounds="${FUSED_ROUNDS:-2000}"
-if [ -x "$detect" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_satin_detection "* ]]; }; then
-  echo "== bench_satin_detection paired A/B: --clean-rounds=$fused_rounds, $fused_k x --batch=1 vs --batch=$fused_k (n=$fused_pairs pairs, user-time medians)" >&2
-  a_out="$(mktemp)" b_out="$(mktemp)"
-  a_times=() b_times=() ratios=()
-  for i in $(seq 1 "$fused_pairs"); do
-    # `time` on the loop reports the user time of all K children.
-    ua="$( { TIMEFORMAT='%U'; time for _ in $(seq 1 "$fused_k"); do "$detect" "--clean-rounds=$fused_rounds" --batch=1 >"$a_out" 2>"$tmp_err"; done; } 2>&1 )"
-    ub="$( { TIMEFORMAT='%U'; time "$detect" "--clean-rounds=$fused_rounds" "--batch=$fused_k" >"$b_out" 2>"$tmp_err"; } 2>&1 )"
-    if ! diff -q "$a_out" "$b_out" >/dev/null; then
-      echo "ERROR: stdout differs between --batch=1 and --batch=$fused_k" >&2
-      diff "$a_out" "$b_out" >&2 || true
-      rm -f "$a_out" "$b_out"
-      exit 1
-    fi
-    a_times+=("$ua")
-    b_times+=("$ub")
-    pair_ratio="$(awk -v a="$ua" -v b="$ub" 'BEGIN{printf "%.3f", (b > 0) ? a / b : 0}')"
-    ratios+=("$pair_ratio")
-    echo "   pair $i/$fused_pairs: ${fused_k} x batch=1 ${ua}s  fused ${ub}s  (${pair_ratio}x)" >&2
+# K unsharded runs one after another; each prints the same rows, and the
+# last one's are compared.
+sequential() {
+  local i
+  for i in $(seq 2 "$fused_k"); do
+    "$detect" "--clean-rounds=$fused_rounds" --batch=1 >/dev/null || return
   done
-  rm -f "$a_out" "$b_out"
-  median() {
-    printf '%s\n' "$@" | sort -g |
-      awk '{v[NR]=$1} END{if (NR%2) print v[(NR+1)/2]; else printf "%.3f\n", (v[NR/2]+v[NR/2+1])/2}'
-  }
-  a_med="$(median "${a_times[@]}")"
-  b_med="$(median "${b_times[@]}")"
-  fused_speedup="$(awk -v a="$a_med" -v b="$b_med" 'BEGIN{printf "%.2f", (b > 0) ? a / b : 0}')"
-  fused_paired="$(median "${ratios[@]}")"
-  if awk -v s="$fused_speedup" 'BEGIN{exit !(s < 1.3)}'; then
-    echo "ERROR: fused engine pass speedup ${fused_speedup}x is below the 1.3x gate" >&2
-    exit 1
-  fi
-  a_list="$(IFS=,; echo "${a_times[*]}")"
-  b_list="$(IFS=,; echo "${b_times[*]}")"
-  r_list="$(IFS=,; echo "${ratios[*]}")"
-  fused_ab="$(printf '{"batch":%s,"clean_rounds":%s,"pairs":%s,"user_s_sequential":[%s],"user_s_fused":[%s],"pair_ratios":[%s],"user_s_sequential_median":%s,"user_s_fused_median":%s,"speedup":%s,"speedup_paired":%s,"stdout_identical":true}' \
-              "$fused_k" "$fused_rounds" "$fused_pairs" "$a_list" "$b_list" "$r_list" "$a_med" "$b_med" "$fused_speedup" "$fused_paired")"
-  echo "   medians: ${fused_k} x batch=1 ${a_med}s  fused ${b_med}s  speedup ${fused_speedup}x (median of pair ratios: ${fused_paired}x)" >&2
-fi
+  "$detect" "--clean-rounds=$fused_rounds" --batch=1
+}
+fused() { "$detect" "--clean-rounds=$fused_rounds" "--batch=$fused_k"; }
+gate_fused() { paired_ab fused "${FUSED_PAIRS:-8}" 1.3 sequential fused; }
 
-# Ungated info A/B: --batch=1 vs the fused --batch=K shard on the same 16
-# trials of the event-bound duel ladder. Here the shared fixed cost is
-# ~25% of a trial (EXPERIMENTS.md has the profile split) — recorded for
-# provenance, never gated.
-fused_duel_ab="null"
-fused_duel_pairs="${FUSED_DUEL_PAIRS:-5}"
-if [ -x "$race" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_race_analysis "* ]]; }; then
-  echo "== bench_race_analysis info A/B: --batch=1 vs --batch=$fused_k (n=$fused_duel_pairs pairs, ungated)" >&2
-  a_out="$(mktemp)" b_out="$(mktemp)"
-  a_times=() b_times=() ratios=()
-  for i in $(seq 1 "$fused_duel_pairs"); do
-    ua="$( { TIMEFORMAT='%U'; time "$race" --batch=1 >"$a_out" 2>"$tmp_err"; } 2>&1 )"
-    ub="$( { TIMEFORMAT='%U'; time "$race" "--batch=$fused_k" >"$b_out" 2>"$tmp_err"; } 2>&1 )"
-    if ! diff -q "$a_out" "$b_out" >/dev/null; then
-      echo "ERROR: stdout differs between --batch=1 and --batch=$fused_k on bench_race_analysis" >&2
-      diff "$a_out" "$b_out" >&2 || true
-      rm -f "$a_out" "$b_out"
-      exit 1
-    fi
-    a_times+=("$ua")
-    b_times+=("$ub")
-    pair_ratio="$(awk -v a="$ua" -v b="$ub" 'BEGIN{printf "%.3f", (b > 0) ? a / b : 0}')"
-    ratios+=("$pair_ratio")
-    echo "   pair $i/$fused_duel_pairs: batch=1 ${ua}s  fused ${ub}s  (${pair_ratio}x)" >&2
-  done
-  rm -f "$a_out" "$b_out"
-  median() {
-    printf '%s\n' "$@" | sort -g |
-      awk '{v[NR]=$1} END{if (NR%2) print v[(NR+1)/2]; else printf "%.3f\n", (v[NR/2]+v[NR/2+1])/2}'
-  }
-  a_med="$(median "${a_times[@]}")"
-  b_med="$(median "${b_times[@]}")"
-  fused_duel_speedup="$(awk -v a="$a_med" -v b="$b_med" 'BEGIN{printf "%.2f", (b > 0) ? a / b : 0}')"
-  fused_duel_paired="$(median "${ratios[@]}")"
-  a_list="$(IFS=,; echo "${a_times[*]}")"
-  b_list="$(IFS=,; echo "${b_times[*]}")"
-  r_list="$(IFS=,; echo "${ratios[*]}")"
-  fused_duel_ab="$(printf '{"batch":%s,"pairs":%s,"user_s_width1":[%s],"user_s_fused":[%s],"pair_ratios":[%s],"user_s_width1_median":%s,"user_s_fused_median":%s,"speedup":%s,"speedup_paired":%s,"stdout_identical":true,"gated":false}' \
-              "$fused_k" "$fused_duel_pairs" "$a_list" "$b_list" "$r_list" "$a_med" "$b_med" "$fused_duel_speedup" "$fused_duel_paired")"
-  echo "   medians: batch=1 ${a_med}s  fused ${b_med}s  speedup ${fused_duel_speedup}x (median of pair ratios: ${fused_duel_paired}x, ungated)" >&2
-fi
-
-# Engine speedup on the headline detection bench vs the auto-detected
-# baseline record.
-detect_speedup="null"
-if [ -n "$baseline" ] && [ -f "$baseline" ]; then
-  detect_speedup="$(python3 - "$baseline" <<PY
-import json
-old = {b["bench"]: b["wall_s"] for b in json.load(open("$baseline")).get("benches", [])}
-new = {r.get("bench"): r.get("wall_s") for r in json.loads('[$rows]')}
-o, n = old.get("bench_satin_detection"), new.get("bench_satin_detection")
-print(round(o / n, 3) if o and n else "null")
-PY
-)"
-fi
-
-baseline_name="$( [ -n "$baseline" ] && basename "$baseline" || echo null)"
-printf '{"schema":"satin-bench-pr10/1","nproc":%s,"jobs":%s,"baseline":"%s","detection_speedup_vs_baseline":%s,"event_churn_allocs":%s,"clean_rounds_cache_comparison":%s,"batch_ab":%s,"fork_ab":%s,"fused_ab":%s,"fused_duel_ab":%s,"benches":[%s]}\n' \
-  "$(nproc)" "$jobs" "$baseline_name" "$detect_speedup" "$churn" "$cache_cmp" "$batch_ab" "$fork_ab" "$fused_ab" "$fused_duel_ab" "$rows" >"$out"
-[ "$batch_ab" = "null" ] || echo "batch A/B (--batch=1 vs --batch=$batch_k) user-time speedup: ${ab_speedup}x" >&2
-[ "$fork_ab" = "null" ] || echo "fork A/B (unforked vs --branches=$fork_branches --fork-prefix=1) user-time speedup: ${fork_speedup}x" >&2
-[ "$fused_ab" = "null" ] || echo "fused A/B (clean-rounds, $fused_k x --batch=1 vs --batch=$fused_k) user-time speedup: ${fused_speedup}x (gate: 1.3x)" >&2
-[ "$fused_duel_ab" = "null" ] || echo "fused duel A/B (bench_race_analysis --batch=1 vs --batch=$fused_k) user-time speedup: ${fused_duel_speedup}x (info only)" >&2
-echo "wrote $out" >&2
-[ "$detect_speedup" = "null" ] || echo "bench_satin_detection speedup vs $baseline_name: ${detect_speedup}x" >&2
-
-# Host-time delta table against the previous PR's record, when present.
-if [ -n "$baseline" ] && [ -f "$baseline" ]; then
-  python3 - "$baseline" "$out" <<'PY'
-import json, sys
-
-def rows(path):
-    with open(path) as f:
-        return {b["bench"]: b["wall_s"] for b in json.load(f).get("benches", [])}
-
-import os
-old, new = rows(sys.argv[1]), rows(sys.argv[2])
-old_label = os.path.basename(sys.argv[1]).removesuffix(".json")
-new_label = os.path.basename(sys.argv[2]).removesuffix(".json")
-print(f"\nhost-time delta vs {sys.argv[1]}:")
-print(f"{'bench':<32} {old_label + ' (s)':>14} {new_label + ' (s)':>14} {'delta':>8}")
-for name in sorted(set(old) | set(new)):
-    o, n = old.get(name), new.get(name)
-    if o is None or n is None:
-        status = "new" if o is None else "gone"
-        val = n if n is not None else o
-        print(f"{name:<32} {'-' if o is None else f'{o:14.3f}':>14} "
-              f"{'-' if n is None else f'{n:14.3f}':>14} {status:>8}")
-        continue
-    delta = (n - o) / o * 100 if o > 0 else 0.0
-    print(f"{name:<32} {o:>14.3f} {n:>14.3f} {delta:>+7.1f}%")
-PY
-fi
+failed=0
+for gate in "${gates[@]}"; do
+  case $gate in
+    alloc | cache | fork | fused) "gate_$gate" || failed=1 ;;
+    *)
+      echo "run_benches.sh: unknown gate '$gate' (want alloc|cache|fork|fused)" >&2
+      exit 2
+      ;;
+  esac
+done
+exit "$failed"

@@ -77,6 +77,13 @@ std::string take_flag(int& argc, char** argv, const char* key) {
   return value;
 }
 
+void refuse_leftover_args(int argc, char** argv, int positional) {
+  if (argc <= 1 + positional) return;
+  std::fprintf(stderr, "%s: unrecognized argument %s\n", argv[0],
+               argv[1 + positional]);
+  std::exit(2);
+}
+
 namespace {
 
 // Strips a bare "--<key>" switch from argv; true when it was present.
@@ -125,22 +132,11 @@ ObsSession::ObsSession(int& argc, char** argv, std::size_t trace_capacity) {
   const std::string jobs_value = take_flag(argc, argv, "jobs");
   if (!jobs_value.empty()) {
     jobs_ = parse_number<int>("--jobs", jobs_value);
-    if (jobs_ < 0) jobs_ = -1;  // nonsense value: behave as if absent
-  }
-  const std::string batch_value = take_flag(argc, argv, "batch");
-  if (!batch_value.empty()) {
-    batch_ = parse_number<int>("--batch", batch_value);
-    if (batch_ < 1) batch_ = -1;  // nonsense value: behave as if absent
-  }
-  const std::string branches_value = take_flag(argc, argv, "branches");
-  if (!branches_value.empty()) {
-    branches_ = parse_number<int>("--branches", branches_value);
-    if (branches_ < 1) branches_ = -1;  // nonsense value: behave as if absent
-  }
-  const std::string prefix_value = take_flag(argc, argv, "fork-prefix");
-  if (!prefix_value.empty()) {
-    fork_prefix_s_ = parse_number<double>("--fork-prefix", prefix_value);
-    if (!(fork_prefix_s_ >= 0.0)) fork_prefix_s_ = 0.0;  // also rejects NaN
+    if (jobs_ < 0) {
+      std::fprintf(stderr, "--jobs=%s must be >= 0 (0 = one per core)\n",
+                   jobs_value.c_str());
+      std::exit(2);
+    }
   }
   const std::string cache_value = take_flag(argc, argv, "digest-cache");
   if (cache_value == "off") {

@@ -46,6 +46,13 @@ void snapshot_engine_metrics(const sim::Engine& engine,
 // the last value seen, "" when absent.
 std::string take_flag(int& argc, char** argv, const char* key);
 
+// Call once a program has taken every flag it reads: anything still in
+// argv past its `positional` leading operands is a typo or a flag meant
+// for another program (say --branch=3), which would otherwise run the
+// default silently. Prints a diagnostic naming the first such argument
+// and exits 2.
+void refuse_leftover_args(int argc, char** argv, int positional = 0);
+
 // A numeric flag value must parse whole, with nothing trailing: a typo
 // such as --jobs=abc or ring=64k would otherwise read as 0 or a prefix
 // and silently change the run. A bad value prints a diagnostic naming
@@ -66,8 +73,7 @@ T parse_number(const char* flag, const std::string& value) {
 class ObsSession {
  public:
   // Consumes --trace= / --metrics= / --metrics-stable / --faults= /
-  // --jobs= / --batch= / --branches= / --fork-prefix= /
-  // --digest-cache= / --flight= from argv (argc is rewritten).
+  // --jobs= / --digest-cache= / --flight= from argv (argc is rewritten).
   // When no flag is present the session installs nothing and costs
   // nothing. The faults spec is only stripped and stored — the obs layer
   // knows nothing about fault injection; pass faults_spec() to
@@ -82,9 +88,10 @@ class ObsSession {
   // default; ring=N keeps only the newest N records). --metrics-stable
   // omits volatile gauges (host wall time, allocator high-water marks)
   // from the metrics snapshot, so identity gates can diff it verbatim.
-  // A non-numeric or junk-suffixed value for --jobs / --batch /
-  // --branches / --fork-prefix / ring=, or a --digest-cache= value other
-  // than on|off, prints a diagnostic and exits 2.
+  // A non-numeric, junk-suffixed or negative --jobs, a bad ring=, or a
+  // --digest-cache= value other than on|off prints a diagnostic and
+  // exits 2. Flags that shape one program's sweep (--batch=,
+  // --branches=, ...) belong to that program, which takes them itself.
   ObsSession(int& argc, char** argv,
              std::size_t trace_capacity = 1u << 20);
   ~ObsSession();
@@ -98,30 +105,10 @@ class ObsSession {
   bool metrics_stable() const { return metrics_stable_; }
   bool faults_requested() const { return !faults_spec_.empty(); }
   bool jobs_requested() const { return jobs_ >= 0; }
-  bool batch_requested() const { return batch_ >= 1; }
   bool digest_cache_enabled() const { return digest_cache_; }
   // Parsed --jobs value; `fallback` when the flag was absent, one worker
   // per hardware thread when it was --jobs=0.
   int jobs(int fallback = 1) const;
-  // Parsed --batch value (lockstep shard size for run_sharded);
-  // `fallback` when the flag was absent or below 1. Like --jobs, this is
-  // only stripped and stored — a pure runtime knob whose output is
-  // byte-identical for every value (CI-gated), so it never belongs in a
-  // result-shaping config hash.
-  int batch(int fallback = 1) const { return batch_ >= 1 ? batch_ : fallback; }
-  bool branches_requested() const { return branches_ >= 1; }
-  // Parsed --branches value (COW fork branch count for sim::ForkServer);
-  // `fallback` when absent. Like --jobs/--batch, a pure runtime knob:
-  // with --fork-prefix=0 the output is byte-identical for every value
-  // (CI-gated), so it never belongs in a result-shaping config hash.
-  int branches(int fallback = 0) const {
-    return branches_ >= 1 ? branches_ : fallback;
-  }
-  // Parsed --fork-prefix value: simulated seconds of warm prefix shared
-  // across fork branches. 0 (the default) keeps each branch a full
-  // independent replay — the byte-identity oracle. Nonzero values trade
-  // identity for speed and are recorded in bench provenance.
-  double fork_prefix_s() const { return fork_prefix_s_; }
   const std::string& trace_path() const { return trace_path_; }
   const std::string& metrics_path() const { return metrics_path_; }
   const std::string& faults_spec() const { return faults_spec_; }
@@ -146,9 +133,6 @@ class ObsSession {
   std::string flight_path_;
   std::size_t flight_ring_ = 0;  // 0 = spill mode
   int jobs_ = -1;                // -1 = flag absent
-  int batch_ = -1;               // -1 = flag absent (or nonsense value)
-  int branches_ = -1;            // -1 = flag absent (or nonsense value)
-  double fork_prefix_s_ = 0.0;   // simulated seconds; 0 = oracle mode
   bool digest_cache_ = true;
   bool metrics_stable_ = false;
   std::unique_ptr<TraceRecorder> recorder_;

@@ -1,17 +1,12 @@
 #include "scenario/experiments.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
-#include <stdexcept>
 
 #include "fault/injector.h"
 #include "obs/metrics.h"
 #include "obs/session.h"
 #include "os/system_map.h"
-#include "sim/batch.h"
-#include "sim/fork.h"
 
 namespace satin::scenario {
 
@@ -57,30 +52,10 @@ std::uint64_t double_bits(double v) {
   return b;
 }
 
-double bits_double(std::uint64_t b) {
-  double v = 0.0;
-  std::memcpy(&v, &b, sizeof(v));
-  return v;
-}
-
 }  // namespace
-
-void BranchDelta::apply(DuelConfig& duel) const {
-  if (satin_tgoal_s > 0.0) duel.satin.tgoal_s = satin_tgoal_s;
-  if (satin_tp_s > 0.0) duel.satin.tp_s = satin_tp_s;
-  if (satin_randomize_wake >= 0) {
-    duel.satin.randomize_wake = satin_randomize_wake != 0;
-  }
-  if (prober_sleep_s > 0.0) duel.evader.prober.sleep_s = prober_sleep_s;
-  if (prober_threshold_s > 0.0) {
-    duel.evader.prober.threshold_s = prober_threshold_s;
-  }
-  if (evader_rearm_delay_s > 0.0) duel.evader.rearm_delay_s = evader_rearm_delay_s;
-}
 
 std::string encode_duel_report(const DuelReport& r) {
   // Fixed field order; every field one hex u64 (doubles as raw bits).
-  // Keep in lockstep with decode_duel_report below.
   const std::uint64_t fields[] = {
       r.rounds,
       r.alarms,
@@ -111,51 +86,6 @@ std::string encode_duel_report(const DuelReport& r) {
     out += buf;
   }
   return out;
-}
-
-DuelReport decode_duel_report(const std::string& text) {
-  constexpr std::size_t kFields = 19;
-  std::uint64_t fields[kFields] = {};
-  const char* p = text.c_str();
-  for (std::size_t i = 0; i < kFields; ++i) {
-    char* end = nullptr;
-    fields[i] = std::strtoull(p, &end, 16);
-    if (end == p) {
-      throw std::invalid_argument("decode_duel_report: truncated record");
-    }
-    p = end;
-    if (i + 1 < kFields) {
-      if (*p != ' ') {
-        throw std::invalid_argument("decode_duel_report: malformed record");
-      }
-      ++p;
-    }
-  }
-  if (*p != '\0') {
-    throw std::invalid_argument("decode_duel_report: trailing bytes");
-  }
-  DuelReport r;
-  r.rounds = fields[0];
-  r.alarms = fields[1];
-  r.full_cycles = fields[2];
-  r.target_area =
-      static_cast<int>(static_cast<std::int64_t>(fields[3]));
-  r.target_area_rounds = fields[4];
-  r.target_area_alarms = fields[5];
-  r.avg_target_gap_s = bits_double(fields[6]);
-  r.secure_stays = fields[7];
-  r.prober_detections = fields[8];
-  r.false_positives = fields[9];
-  r.false_negatives = fields[10];
-  r.evasions_started = fields[11];
-  r.rearms = fields[12];
-  r.sim_seconds = bits_double(fields[13]);
-  r.confirmed_alarms = fields[14];
-  r.transient_alarms = fields[15];
-  r.benign_confirmed_alarms = fields[16];
-  r.watchdog_fires = fields[17];
-  r.scan_retries = fields[18];
-  return r;
 }
 
 DuelTrial::DuelTrial(Scenario& scenario, const DuelConfig& config)
@@ -272,153 +202,10 @@ DuelReport run_duel(Scenario& scenario, const DuelConfig& config) {
   return trial.finish();
 }
 
-namespace {
-
-// run_duel as a lockstep citizen: owns its Scenario, writes its report
-// into the submission-order slot the factory wired. finish() runs under
-// the trial's sinks, so the metrics snapshot matches the unsharded path.
-class DuelLockstepTrial final : public sim::LockstepTrial {
- public:
-  DuelLockstepTrial(const ScenarioConfig& scenario_config,
-                    const DuelConfig& duel, DuelReport* slot)
-      : scenario_(scenario_config), trial_(scenario_, duel), slot_(slot) {}
-
-  bool done() const override { return trial_.done(); }
-  void advance(sim::Duration quantum) override { trial_.advance(quantum); }
-  // Fused-pass contract (sim/batch.h): DuelTrial::advance IS
-  // scenario.run_for, i.e. engine run_until, with no request_stop use and
-  // no per-advance side work — the shard loop may drive the engine
-  // directly.
-  sim::Engine* fused_engine() override { return &scenario_.engine(); }
-  void finish() override {
-    *slot_ = trial_.finish();
-    if (auto* registry = obs::metrics()) {
-      obs::snapshot_engine_metrics(scenario_.engine(), *registry,
-                                   /*include_wall=*/false);
-    }
-  }
-
- private:
-  Scenario scenario_;
-  DuelTrial trial_;
-  DuelReport* slot_;
-};
-
-// Per-trial configs are derived identically on every sweep path.
-ScenarioConfig duel_trial_scenario_config(const sim::TrialContext& ctx,
-                                          DuelConfig& duel,
-                                          const std::function<void(
-                                              const sim::TrialContext&,
-                                              ScenarioConfig&, DuelConfig&)>&
-                                              customize) {
-  ScenarioConfig scenario_config;
-  scenario_config.platform.seed = ctx.seed;
-  if (customize) customize(ctx, scenario_config, duel);
-  return scenario_config;
-}
-
-// The COW fork path (--branches=N): trials grouped into consecutive
-// branch groups of N, each group run as fork()ed children off the parent
-// image. fork_prefix_s == 0 is the byte-identity oracle — every child
-// replays its trial from scratch under fresh sinks, exactly the unforked
-// per-trial body. fork_prefix_s > 0 is the speed path: the group leader's
-// scenario is built and advanced through the warm prefix ONCE in the
-// parent, children inherit it (and the group obs sinks) by copy-on-write
-// and diverge via BranchDelta.
-DuelSweep run_forked_duel_sweep(
-    const DuelSweepConfig& config,
-    const std::function<void(const sim::TrialContext&, ScenarioConfig&,
-                             DuelConfig&)>& customize) {
-  sim::TrialRunnerOptions options;
-  options.jobs = config.jobs;
-  options.root_seed = config.root_seed;
-  options.flight_ring = config.flight_ring;
-  const sim::TrialSeedSeq seeds(config.root_seed);
-
-  DuelSweep sweep;
-  // Same effective worker clamp as the in-process paths: `jobs` is the
-  // requested-parallelism knob and sweep output must not depend on the
-  // execution backend.
-  sweep.jobs = sim::TrialRunner(options).jobs_for(config.trials);
-
-  sim::ForkServerOptions fork_options;
-  fork_options.jobs = config.jobs;
-  fork_options.timeout_s = config.fork_timeout_s;
-  fork_options.max_retries = config.fork_retries;
-  fork_options.flight_ring = config.flight_ring;
-  fork_options.marker_seed = [&seeds](std::size_t global) {
-    return seeds.seed_for(global);
-  };
-  const auto replay = [&](std::size_t index) {
-    const sim::TrialContext ctx{index, seeds.seed_for(index)};
-    DuelConfig duel = config.duel;
-    const ScenarioConfig scenario_config =
-        duel_trial_scenario_config(ctx, duel, customize);
-    return encode_duel_report(run_single_duel(scenario_config, duel).report);
-  };
-  sim::GroupPrefix warm_prefix;
-  if (config.fork_prefix_s > 0.0) {
-    warm_prefix = [&](std::size_t base) -> sim::ForkServer::Body {
-      const sim::TrialContext leader{base, seeds.seed_for(base)};
-      DuelConfig leader_duel = config.duel;
-      auto scenario = std::make_shared<Scenario>(
-          duel_trial_scenario_config(leader, leader_duel, customize));
-      scenario->run_for(sim::Duration::from_sec_f(config.fork_prefix_s));
-      return [&, scenario](std::size_t index) {
-        const sim::TrialContext ctx{index, seeds.seed_for(index)};
-        DuelConfig duel = config.duel;
-        ScenarioConfig discarded;  // scenario is already built pre-fork
-        if (customize) customize(ctx, discarded, duel);
-        BranchDelta delta;
-        if (config.branch_delta) {
-          delta = config.branch_delta(ctx);
-        } else {
-          delta.perturb = true;
-          delta.seed_salt = index;
-        }
-        delta.apply(duel);
-        if (delta.perturb) {
-          scenario->platform().rng().perturb(delta.perturb_stream,
-                                             delta.seed_salt);
-        }
-        DuelTrial trial(*scenario, duel);
-        while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
-        DuelReport report = trial.finish();
-        if (auto* registry = obs::metrics()) {
-          obs::snapshot_engine_metrics(scenario->engine(), *registry,
-                                       /*include_wall=*/false);
-        }
-        return encode_duel_report(report);
-      };
-    };
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const std::string& payload : sim::run_fork_groups(
-           config.trials, static_cast<std::size_t>(config.branches),
-           fork_options, replay, warm_prefix)) {
-    sweep.reports.push_back(decode_duel_report(payload));
-  }
-  sweep.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return sweep;
-}
-
-}  // namespace
-
 DuelSweep run_duel_sweep(
     const DuelSweepConfig& config,
     const std::function<void(const sim::TrialContext&, ScenarioConfig&,
                              DuelConfig&)>& customize) {
-  if (config.branches > 0) {
-    if (config.batch > 1) {
-      throw std::invalid_argument(
-          "run_duel_sweep: branches and batch are mutually exclusive");
-    }
-    return run_forked_duel_sweep(config, customize);
-  }
-
   sim::TrialRunnerOptions options;
   options.jobs = config.jobs;
   options.root_seed = config.root_seed;
@@ -426,31 +213,13 @@ DuelSweep run_duel_sweep(
 
   DuelSweep sweep;
   sim::TrialRunner runner(options);
-  // The unsharded worker clamp, also under --batch: `jobs` is the
-  // requested-parallelism knob, and sweep output must be byte-identical
-  // across --batch (shards may cap workers lower).
   sweep.jobs = runner.jobs_for(config.trials);
-  if (config.batch > 1) {
-    sweep.reports.resize(config.trials);
-    runner.run_sharded(
-        config.trials, static_cast<std::size_t>(config.batch),
-        sim::Duration::from_sec(1),
-        [&config, &customize, &sweep](const sim::TrialContext& ctx) {
-          DuelConfig duel = config.duel;
-          const ScenarioConfig scenario_config =
-              duel_trial_scenario_config(ctx, duel, customize);
-          return std::make_unique<DuelLockstepTrial>(
-              scenario_config, duel, &sweep.reports[ctx.index]);
-        });
-    sweep.wall_seconds = runner.wall_seconds();
-    return sweep;
-  }
-
   sweep.reports = runner.run_collect(
       config.trials, [&config, &customize](const sim::TrialContext& ctx) {
+        ScenarioConfig scenario_config;
+        scenario_config.platform.seed = ctx.seed;
         DuelConfig duel = config.duel;
-        const ScenarioConfig scenario_config =
-            duel_trial_scenario_config(ctx, duel, customize);
+        if (customize) customize(ctx, scenario_config, duel);
         return run_single_duel(scenario_config, duel).report;
       });
   sweep.wall_seconds = runner.wall_seconds();

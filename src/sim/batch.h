@@ -16,6 +16,10 @@
 // and the submission-order merge is shared with TrialRunner::run() — so
 // --batch=K output is byte-identical to --batch=1 for every K, which CI
 // enforces. The unsharded path (--batch=1) stays the run of record.
+// --batch=K is a flag of the workloads where shards share real work:
+// bench_race_analysis's spot-duel ladder and bench_satin_detection's
+// --clean-rounds replicas. The §VI-B1 duel sweep (run_duel_sweep) runs on
+// the thread pool alone; sharing is under 1% of a 190-round duel.
 //
 // Lockstep shards are one of the three ways a trial runs: TrialRunner's
 // thread pool (run), lockstep shards (run_sharded), and ForkServer

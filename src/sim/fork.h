@@ -9,12 +9,13 @@
 // pool, hw::Memory + write generations, digest cache and OS/attacker
 // state free to clone — no serialization of type-erased callbacks, no
 // checkpoint format, the process image IS the snapshot. Each child
-// applies its branch's delta (an attacker offset, a SATIN knob, a seed
-// perturbation), runs to completion, and streams a checksummed result
-// record back over a pipe. Sweeps (--branches=N) go through
-// run_fork_groups(), the one group loop; campaign trials
-// (campaign/supervisor.h) are the same machinery with no prefix: one
-// fresh-sink child per pending trial, journaled from on_settled.
+// applies what is its own past the fork (in bench_race_analysis, the
+// spot duel's trace offset), runs to completion, and streams a
+// checksummed result record back over a pipe. That bench's sweep
+// (--branches=N) goes through run_fork_groups(), the one group loop;
+// campaign trials (campaign/supervisor.h) are the same machinery with no
+// prefix: one fresh-sink child per pending trial, journaled from
+// on_settled.
 //
 // ForkServer children are one of the three ways a trial runs, next to
 // TrialRunner's thread pool and its lockstep shards (sim/parallel.h).

@@ -162,41 +162,6 @@ TEST(ObsSessionTest, MetricsStableDropsVolatileGauges) {
   std::remove(stable.c_str());
 }
 
-TEST(ObsSessionTest, BatchFlagParsedAndStripped) {
-  {
-    Argv argv({"prog", "--batch=8", "-x"});
-    ObsSession session(argv.argc, argv.ptrs.data());
-    EXPECT_TRUE(session.batch_requested());
-    EXPECT_EQ(session.batch(), 8);
-    EXPECT_EQ(session.batch(3), 8);
-    // The flag is stripped; nothing else is installed for it.
-    ASSERT_EQ(argv.argc, 2);
-    EXPECT_STREQ(argv.ptrs[1], "-x");
-    EXPECT_FALSE(session.trace_enabled());
-    EXPECT_FALSE(session.metrics_enabled());
-  }
-  {
-    Argv argv({"prog"});
-    ObsSession session(argv.argc, argv.ptrs.data());
-    EXPECT_FALSE(session.batch_requested());
-    EXPECT_EQ(session.batch(), 1);
-    EXPECT_EQ(session.batch(4), 4);
-  }
-  {
-    // Nonsense values behave as if the flag were absent.
-    Argv argv({"prog", "--batch=0"});
-    ObsSession session(argv.argc, argv.ptrs.data());
-    EXPECT_FALSE(session.batch_requested());
-    EXPECT_EQ(session.batch(), 1);
-  }
-  {
-    Argv argv({"prog", "--batch=-3"});
-    ObsSession session(argv.argc, argv.ptrs.data());
-    EXPECT_FALSE(session.batch_requested());
-    EXPECT_EQ(session.batch(7), 7);
-  }
-}
-
 // Constructs a session from `args` (argv[0] is added); the death test
 // below runs it in a child and expects the numeric-flag diagnostic.
 void make_session(std::vector<std::string> args) {
@@ -216,13 +181,6 @@ TEST(ObsSessionDeathTest, NonNumericValuesExitWithADiagnostic) {
       {"--jobs=abc", "--jobs"},
       {"--jobs=3x", "--jobs"},
       {"--jobs= 2", "--jobs"},
-      {"--batch=eight", "--batch"},
-      {"--batch=8k", "--batch"},
-      {"--branches=two", "--branches"},
-      {"--branches=4.5", "--branches"},
-      {"--fork-prefix=warm", "--fork-prefix"},
-      {"--fork-prefix=1.5s", "--fork-prefix"},
-      {"--fork-prefix= 1", "--fork-prefix"},
       {ring + "abc", "ring="},
       {ring + "64k", "ring="},
       {ring, "ring="},
@@ -233,6 +191,10 @@ TEST(ObsSessionDeathTest, NonNumericValuesExitWithADiagnostic) {
                 flag + ".*not a valid number")
         << arg;
   }
+  // A negative worker count used to read as "flag absent" and silently
+  // run the default.
+  EXPECT_EXIT(make_session({"--jobs=-3"}), testing::ExitedWithCode(2),
+              "--jobs=-3 must be >= 0");
 }
 
 TEST(ObsSessionDeathTest, DigestCacheTypoExitsWithADiagnostic) {
@@ -250,12 +212,9 @@ TEST(ObsSessionDeathTest, DigestCacheTypoExitsWithADiagnostic) {
 TEST(ObsSessionTest, NumericFlagsParseWholeValues) {
   const std::string path = testing::TempDir() + "session_ring_ok.bin";
   {
-    Argv argv({"prog", "--jobs=3", "--branches=4", "--fork-prefix=0.25",
-               "--flight=" + path + ",ring=65536"});
+    Argv argv({"prog", "--jobs=3", "--flight=" + path + ",ring=65536"});
     ObsSession session(argv.argc, argv.ptrs.data());
     EXPECT_EQ(session.jobs(), 3);
-    EXPECT_EQ(session.branches(), 4);
-    EXPECT_DOUBLE_EQ(session.fork_prefix_s(), 0.25);
     EXPECT_EQ(session.flight_ring(), 65536u);
     EXPECT_EQ(argv.argc, 1);
   }
@@ -269,13 +228,25 @@ TEST(ObsSessionTest, NumericFlagsParseWholeValues) {
     EXPECT_EQ(session.jobs(7), sim::TrialRunner::hardware_jobs());
   }
   {
-    // Numeric but out of range still behaves as if absent.
-    Argv argv({"prog", "--jobs=-2", "--branches=0", "--fork-prefix=-1"});
+    // Sweep-shape flags belong to the programs that read them: the
+    // session leaves them in argv for refuse_leftover_args to catch.
+    Argv argv({"prog", "--batch=8", "--branches=3", "--fork-prefix=100"});
     ObsSession session(argv.argc, argv.ptrs.data());
+    ASSERT_EQ(argv.argc, 4);
+    EXPECT_STREQ(argv.ptrs[1], "--batch=8");
     EXPECT_FALSE(session.jobs_requested());
-    EXPECT_FALSE(session.branches_requested());
-    EXPECT_EQ(session.fork_prefix_s(), 0.0);
   }
+}
+
+TEST(ObsSessionDeathTest, LeftoverArgumentsExitNamingTheFirst) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Argv operand({"prog", "spec.json"});
+  refuse_leftover_args(operand.argc, operand.ptrs.data(), /*positional=*/1);
+  Argv argv({"prog", "spec.json", "--branch=3", "--bogus"});
+  EXPECT_EXIT(refuse_leftover_args(argv.argc, argv.ptrs.data()),
+              testing::ExitedWithCode(2), "unrecognized argument spec.json");
+  EXPECT_EXIT(refuse_leftover_args(argv.argc, argv.ptrs.data(), 1),
+              testing::ExitedWithCode(2), "unrecognized argument --branch=3");
 }
 
 TEST(ObsSessionTest, MetricsOnlyRunWritesNoTrace) {

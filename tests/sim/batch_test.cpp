@@ -2,8 +2,9 @@
 // engine must be an identity transform over TrialRunner::run() — same
 // submission-order result slots, same merged obs, same first-error
 // rethrow — for every shard size. The duel-level tests at the bottom
-// close the loop end-to-end: a real run_duel_sweep at --batch=K must
-// reproduce the --batch=1 run of record field for field.
+// close the loop end-to-end: real duels sharded K at a time must
+// reproduce run_duel_sweep (the thread pool, the run of record) field for
+// field.
 #include "sim/batch.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "obs/flight/audit.h"
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
+#include "obs/session.h"
 #include "obs/trace.h"
 #include "scenario/experiments.h"
 #include "scenario/scenario.h"
@@ -379,6 +381,101 @@ void expect_reports_equal(const scenario::DuelReport& a,
   EXPECT_EQ(a.scan_retries, b.scan_retries) << where;
 }
 
+// run_duel_sweep's trial body as a lockstep citizen: owns its Scenario,
+// writes its report into the submission-order slot the factory wired,
+// and snapshots engine metrics in finish() (under the trial's sinks) the
+// way run_single_duel does. DuelTrial::advance IS scenario.run_for, so it
+// offers its engine to the fused pass.
+class DuelLockstepTrial final : public LockstepTrial {
+ public:
+  DuelLockstepTrial(std::uint64_t seed, const scenario::DuelConfig& duel,
+                    scenario::DuelReport* slot)
+      : scenario_(config_for(seed)), trial_(scenario_, duel), slot_(slot) {}
+
+  bool done() const override { return trial_.done(); }
+  void advance(Duration quantum) override { trial_.advance(quantum); }
+  Engine* fused_engine() override { return &scenario_.engine(); }
+  void finish() override {
+    *slot_ = trial_.finish();
+    if (auto* registry = obs::metrics()) {
+      obs::snapshot_engine_metrics(scenario_.engine(), *registry,
+                                   /*include_wall=*/false);
+    }
+  }
+
+ private:
+  static scenario::ScenarioConfig config_for(std::uint64_t seed) {
+    scenario::ScenarioConfig config;
+    config.platform.seed = seed;
+    return config;
+  }
+
+  scenario::Scenario scenario_;
+  scenario::DuelTrial trial_;
+  scenario::DuelReport* slot_;
+};
+
+// A duel under an optional fault plan that may decline the fused pass:
+// the straggler lanes of the fallback test at the bottom.
+class FaultedDuelLockstepTrial final : public LockstepTrial {
+ public:
+  FaultedDuelLockstepTrial(std::uint64_t seed, const std::string& fault_spec,
+                           bool offer_engine, scenario::DuelReport* out,
+                           std::uint64_t* faults_out = nullptr)
+      : offer_engine_(offer_engine), out_(out), faults_out_(faults_out) {
+    scenario::ScenarioConfig config;
+    config.platform.seed = seed;
+    system_ = std::make_unique<scenario::Scenario>(config);
+    injector_ = fault::install_from_spec(system_->platform(), fault_spec);
+    scenario::DuelConfig duel;
+    duel.satin.tp_s = 1.0;
+    duel.rounds_target = 5;
+    trial_ = std::make_unique<scenario::DuelTrial>(*system_, duel);
+  }
+
+  bool done() const override { return trial_->done(); }
+  void advance(Duration quantum) override { trial_->advance(quantum); }
+  Engine* fused_engine() override {
+    return offer_engine_ ? &system_->engine() : nullptr;
+  }
+  void finish() override {
+    *out_ = trial_->finish();
+    if (faults_out_ != nullptr && injector_ != nullptr) {
+      *faults_out_ = injector_->injected_total();
+    }
+  }
+
+ private:
+  bool offer_engine_;
+  scenario::DuelReport* out_;
+  std::uint64_t* faults_out_;
+  std::unique_ptr<scenario::Scenario> system_;
+  std::unique_ptr<fault::FaultInjector> injector_;
+  std::unique_ptr<scenario::DuelTrial> trial_;
+};
+
+// The duel sweep at lockstep shard size `batch`: run_duel_sweep itself at
+// batch 1, otherwise TrialRunner::run_sharded over DuelLockstepTrial with
+// the same per-trial seeds and worker clamp.
+scenario::DuelSweep run_duel_shards(const scenario::DuelSweepConfig& config,
+                                    int batch) {
+  if (batch == 1) return scenario::run_duel_sweep(config);
+  TrialRunnerOptions options;
+  options.jobs = config.jobs;
+  options.root_seed = config.root_seed;
+  options.flight_ring = config.flight_ring;
+  TrialRunner runner(options);
+  scenario::DuelSweep sweep;
+  sweep.jobs = runner.jobs_for(config.trials);
+  sweep.reports.resize(config.trials);
+  runner.run_sharded(config.trials, static_cast<std::size_t>(batch), kQuantum,
+                     [&](const TrialContext& ctx) {
+                       return std::make_unique<DuelLockstepTrial>(
+                           ctx.seed, config.duel, &sweep.reports[ctx.index]);
+                     });
+  return sweep;
+}
+
 scenario::DuelSweep run_sweep_with_batch(int batch, std::size_t trials,
                                          std::string* metrics_json) {
   obs::MetricsRegistry registry;
@@ -389,8 +486,7 @@ scenario::DuelSweep run_sweep_with_batch(int batch, std::size_t trials,
   config.trials = trials;
   config.jobs = 1;
   config.root_seed = 0xBA7C4ull;
-  config.batch = batch;
-  scenario::DuelSweep sweep = scenario::run_duel_sweep(config);
+  scenario::DuelSweep sweep = run_duel_shards(config, batch);
   obs::install_metrics(nullptr);
   if (metrics_json != nullptr) *metrics_json = registry.to_json();
   return sweep;
@@ -423,7 +519,7 @@ TEST(BatchRunner, DuelSweepIsInvariantUnderBatchSize) {
 // PR-10 fused engine pass: merged event frontiers plus the shard-shared
 // kernel image / pristine digest base must stay an identity transform at
 // every batch size — DuelReports, the stable metrics snapshot, AND the
-// flight chain hash, against the unsharded --batch=1 run of record.
+// flight chain hash, against run_duel_sweep's unsharded run of record.
 
 scenario::DuelSweep run_fused_sweep(int batch, std::size_t trials,
                                     std::string* stable_metrics,
@@ -444,8 +540,7 @@ scenario::DuelSweep run_fused_sweep(int batch, std::size_t trials,
     config.trials = trials;
     config.jobs = 1;
     config.root_seed = 0xBA7C4ull;
-    config.batch = batch;
-    sweep = scenario::run_duel_sweep(config);
+    sweep = run_duel_shards(config, batch);
     obs::install_flight(nullptr);
     EXPECT_TRUE(recorder.close());
   }
@@ -495,43 +590,6 @@ TEST(BatchRunner, FusedPassIsInvariantAcrossBatchSizes) {
 // different times (faulted duels take extra rounds to converge). A shard
 // in which every lane declines is the pure per-trial advance() loop under
 // the shard's installed ShardContext, and must match the same reference.
-
-class FaultedDuelLockstepTrial final : public LockstepTrial {
- public:
-  FaultedDuelLockstepTrial(std::uint64_t seed, const std::string& fault_spec,
-                           bool offer_engine, scenario::DuelReport* out,
-                           std::uint64_t* faults_out = nullptr)
-      : offer_engine_(offer_engine), out_(out), faults_out_(faults_out) {
-    scenario::ScenarioConfig config;
-    config.platform.seed = seed;
-    system_ = std::make_unique<scenario::Scenario>(config);
-    injector_ = fault::install_from_spec(system_->platform(), fault_spec);
-    scenario::DuelConfig duel;
-    duel.satin.tp_s = 1.0;
-    duel.rounds_target = 5;
-    trial_ = std::make_unique<scenario::DuelTrial>(*system_, duel);
-  }
-
-  bool done() const override { return trial_->done(); }
-  void advance(Duration quantum) override { trial_->advance(quantum); }
-  Engine* fused_engine() override {
-    return offer_engine_ ? &system_->engine() : nullptr;
-  }
-  void finish() override {
-    *out_ = trial_->finish();
-    if (faults_out_ != nullptr && injector_ != nullptr) {
-      *faults_out_ = injector_->injected_total();
-    }
-  }
-
- private:
-  bool offer_engine_;
-  scenario::DuelReport* out_;
-  std::uint64_t* faults_out_;
-  std::unique_ptr<scenario::Scenario> system_;
-  std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<scenario::DuelTrial> trial_;
-};
 
 TEST(BatchRunner, StragglersWithFaultPlansFallBackPerTrialInsideAFusedShard) {
   // Odd slots carry a bit-flip storm and decline the fused engine; even

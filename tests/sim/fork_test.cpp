@@ -4,8 +4,11 @@
 // mid-trial, silent wedge, torn pipe record — resolves to exactly-once
 // results via the retry ladder with no orphan processes left behind,
 // each index settling once, in the parent, under its global index; and
-// (b) the zero-prefix forked sweep is indistinguishable from the unforked
-// run of record. Both halves are pinned here.
+// (b) a child's trial is indistinguishable from the same trial run
+// in-process. (a) and run_fork_groups' group loop are pinned here; (b)
+// by SupervisorTest.ProcessBackendRecordsMatchInProcessTrials, where
+// every campaign trial is a ForkServer child, and here for a fork sweep
+// of duels whose group size exceeds its trial count.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -26,6 +29,7 @@
 #include "scenario/experiments.h"
 #include "sim/fork.h"
 #include "sim/parallel.h"
+#include "sim/seed_seq.h"
 
 namespace satin {
 namespace {
@@ -200,6 +204,54 @@ TEST(ForkGroups, WarmPrefixRunsOncePerGroupUnderInheritedGroupSinks) {
   expect_no_orphans();
 }
 
+// A fast sweep config: a handful of short duels, distinct per-trial
+// platform seeds (run_duel_sweep derives them from root_seed).
+scenario::DuelSweepConfig quick_sweep(std::size_t trials) {
+  scenario::DuelSweepConfig config;
+  config.trials = trials;
+  config.jobs = 2;
+  config.root_seed = 20260809;
+  config.duel.satin.tgoal_s = 10.0;
+  config.duel.rounds_target = 3;
+  return config;
+}
+
+TEST(ForkedDuelSweep, BranchCountAboveTrialsClampsToTrials) {
+  const auto config = quick_sweep(3);
+  const auto unforked = scenario::run_duel_sweep(config);
+
+  // More branches than trials: one group holds every trial, and each
+  // zero-prefix child's duel is the unforked sweep's, byte for byte.
+  const sim::TrialSeedSeq seeds(config.root_seed);
+  const auto forked = sim::run_fork_groups(
+      config.trials, 8, {}, [&](std::size_t index) {
+        scenario::ScenarioConfig scenario_config;
+        scenario_config.platform.seed = seeds.seed_for(index);
+        return scenario::encode_duel_report(
+            scenario::run_single_duel(scenario_config, config.duel).report);
+      });
+  ASSERT_EQ(forked.size(), 3u);
+  ASSERT_EQ(unforked.reports.size(), 3u);
+  for (std::size_t i = 0; i < forked.size(); ++i) {
+    EXPECT_EQ(forked[i], scenario::encode_duel_report(unforked.reports[i]))
+        << "trial " << i;
+  }
+
+  // The warm-prefix path runs its prefix once for that single group.
+  int prefixes = 0;
+  EXPECT_EQ(sim::run_fork_groups(
+                3, 8, {}, nullptr,
+                [&](std::size_t base) -> sim::ForkServer::Body {
+                  ++prefixes;
+                  return [base](std::size_t index) {
+                    return std::to_string(base) + "/" + std::to_string(index);
+                  };
+                }),
+            (std::vector<std::string>{"0/0", "0/1", "0/2"}));
+  EXPECT_EQ(prefixes, 1);
+  expect_no_orphans();
+}
+
 TEST(ForkServer, RetryBudgetExhaustionReportsTheFailure) {
   sim::ForkServerOptions options;
   options.max_retries = 1;
@@ -323,122 +375,6 @@ TEST(ForkServer, RecordChecksumIsFnv1a) {
             14695981039346656037ull);
   EXPECT_NE(sim::ForkServer::record_checksum("a"),
             sim::ForkServer::record_checksum("b"));
-}
-
-TEST(DuelReportCodec, RoundTripsBitForBit) {
-  scenario::DuelReport r;
-  r.rounds = 41;
-  r.alarms = 7;
-  r.full_cycles = 2;
-  r.target_area = 14;
-  r.target_area_rounds = 5;
-  r.target_area_alarms = 5;
-  r.avg_target_gap_s = 141.0625e-3;  // exercises non-trivial mantissa bits
-  r.secure_stays = 99;
-  r.prober_detections = 98;
-  r.false_positives = 1;
-  r.false_negatives = 2;
-  r.evasions_started = 3;
-  r.rearms = 4;
-  r.sim_seconds = 1234.5678901234;
-  r.confirmed_alarms = 6;
-  r.transient_alarms = 8;
-  r.benign_confirmed_alarms = 9;
-  r.watchdog_fires = 10;
-  r.scan_retries = 11;
-  const std::string wire = scenario::encode_duel_report(r);
-  const scenario::DuelReport back = scenario::decode_duel_report(wire);
-  EXPECT_EQ(scenario::encode_duel_report(back), wire);
-  EXPECT_EQ(back.rounds, r.rounds);
-  EXPECT_EQ(back.target_area, r.target_area);
-  EXPECT_EQ(back.avg_target_gap_s, r.avg_target_gap_s);
-  EXPECT_EQ(back.sim_seconds, r.sim_seconds);
-  EXPECT_EQ(back.scan_retries, r.scan_retries);
-
-  // A negative target_area (no target round yet) survives the u64 wire.
-  scenario::DuelReport none;
-  none.target_area = -1;
-  EXPECT_EQ(scenario::decode_duel_report(scenario::encode_duel_report(none))
-                .target_area,
-            -1);
-
-  EXPECT_THROW(scenario::decode_duel_report("not a record"),
-               std::invalid_argument);
-  EXPECT_THROW(scenario::decode_duel_report(wire.substr(0, wire.size() / 2)),
-               std::invalid_argument);
-}
-
-// A fast sweep config: a handful of short duels, distinct per-trial
-// platform seeds (run_duel_sweep derives them from root_seed).
-scenario::DuelSweepConfig quick_sweep(std::size_t trials) {
-  scenario::DuelSweepConfig config;
-  config.trials = trials;
-  config.jobs = 2;
-  config.root_seed = 20260809;
-  config.duel.satin.tgoal_s = 10.0;
-  config.duel.rounds_target = 3;
-  return config;
-}
-
-TEST(ForkedDuelSweep, ZeroPrefixMatchesTheUnforkedOracle) {
-  const auto unforked = scenario::run_duel_sweep(quick_sweep(4));
-
-  auto forked_config = quick_sweep(4);
-  forked_config.branches = 2;
-  const auto forked = scenario::run_duel_sweep(forked_config);
-
-  ASSERT_EQ(forked.reports.size(), unforked.reports.size());
-  for (std::size_t i = 0; i < forked.reports.size(); ++i) {
-    EXPECT_EQ(scenario::encode_duel_report(forked.reports[i]),
-              scenario::encode_duel_report(unforked.reports[i]))
-        << "trial " << i;
-  }
-  expect_no_orphans();
-}
-
-TEST(ForkedDuelSweep, BranchCountAboveTrialsClampsToTrials) {
-  const auto unforked = scenario::run_duel_sweep(quick_sweep(3));
-
-  auto forked_config = quick_sweep(3);
-  forked_config.branches = 8;  // more branches than trials
-  const auto forked = scenario::run_duel_sweep(forked_config);
-
-  ASSERT_EQ(forked.reports.size(), 3u);
-  for (std::size_t i = 0; i < forked.reports.size(); ++i) {
-    EXPECT_EQ(scenario::encode_duel_report(forked.reports[i]),
-              scenario::encode_duel_report(unforked.reports[i]))
-        << "trial " << i;
-  }
-  expect_no_orphans();
-}
-
-TEST(ForkedDuelSweep, BranchesAndBatchAreMutuallyExclusive) {
-  auto config = quick_sweep(2);
-  config.branches = 2;
-  config.batch = 4;
-  EXPECT_THROW(scenario::run_duel_sweep(config), std::invalid_argument);
-}
-
-TEST(ForkedDuelSweep, WarmPrefixDefaultDeltaDivergesFromTheOracle) {
-  const auto oracle = scenario::run_duel_sweep(quick_sweep(2));
-
-  auto warm_config = quick_sweep(2);
-  warm_config.branches = 2;
-  warm_config.fork_prefix_s = 2.0;  // default delta: RNG perturbation
-  const auto warm = scenario::run_duel_sweep(warm_config);
-
-  ASSERT_EQ(warm.reports.size(), 2u);
-  // The warm run is self-consistent but NOT the oracle: at least one
-  // field of one report must differ (seed perturbation changed the
-  // attacker/jitter draws past the prefix).
-  bool any_diff = false;
-  for (std::size_t i = 0; i < warm.reports.size(); ++i) {
-    any_diff = any_diff ||
-               scenario::encode_duel_report(warm.reports[i]) !=
-                   scenario::encode_duel_report(oracle.reports[i]);
-  }
-  EXPECT_TRUE(any_diff);
-  expect_no_orphans();
 }
 
 }  // namespace

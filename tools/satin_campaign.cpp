@@ -17,10 +17,10 @@
 //   --chaos-kill-trial=I / --chaos-hang-trial=I / --chaos-kill-after=N
 //                     deterministic crash injection for the CI audit
 //
-// A malformed numeric flag value exits 2. Every trial runs in its own
-// child process, with its fault plan taken from the spec, so the sweep
-// and bench flags --branches= / --fork-prefix= / --batch= / --shard= /
-// --faults= are refused with exit 2 instead of being silently ignored.
+// A malformed numeric flag value exits 2, and so does any argument run
+// does not read (a bench flag such as --batch=, or a typo): it is named
+// instead of being silently ignored. --faults= is refused by name, since
+// ObsSession would swallow it; a trial's fault plan is the spec's.
 //
 // Exit codes: 0 = campaign complete, 2 = usage / spec / journal error,
 // 3 = campaign finished DEGRADED (some trials permanently failed; partial
@@ -132,7 +132,8 @@ int cmd_run(int argc, char** argv, bool resume, int jobs_override) {
     options.chaos_supervisor_kill_after =
         parse_number<std::uint64_t>("--chaos-kill-after", kill_after);
   }
-  if (argc != 2) return usage();
+  if (argc < 2) return usage();
+  satin::obs::refuse_leftover_args(argc, argv, /*positional=*/1);
   const std::string spec_path = argv[1];
 
   CampaignSpec spec;
@@ -174,26 +175,14 @@ int cmd_run(int argc, char** argv, bool resume, int jobs_override) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // ObsSession would swallow these flags and nothing would read them;
-  // refuse them here.
-  struct Refused {
-    const char* prefix;
-    const char* why;
-  };
-  const Refused refused[] = {
-      {"--branches=", "every trial runs in its own child process"},
-      {"--fork-prefix=", "every trial runs in its own child process"},
-      {"--batch=", "every trial runs in its own child process"},
-      {"--shard=", "every trial runs in its own child process"},
-      {"--faults=", "the fault plan is the spec's \"faults\" key"},
-  };
+  // ObsSession would swallow --faults= and nothing would read it.
   for (int i = 1; i < argc; ++i) {
-    for (const Refused& r : refused) {
-      if (std::strncmp(argv[i], r.prefix, std::strlen(r.prefix)) == 0) {
-        std::fprintf(stderr, "satin_campaign: %s is not a campaign flag: %s\n",
-                     argv[i], r.why);
-        return 2;
-      }
+    if (std::strncmp(argv[i], "--faults=", 9) == 0) {
+      std::fprintf(stderr,
+                   "satin_campaign: %s is not a campaign flag: the fault "
+                   "plan is the spec's \"faults\" key\n",
+                   argv[i]);
+      return 2;
     }
   }
   // Installs --metrics= / --metrics-stable / --flight= / --trace= sinks
