@@ -9,7 +9,7 @@
 //
 // Monte-Carlo batches and duels fan out over --jobs=J workers through
 // sim::TrialRunner; the printed rows are bit-identical for any J (and,
-// for the spot duels, for any --batch=K lockstep shard size).
+// for the spot duels, for any --branches=N fork group size).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -22,7 +22,6 @@
 #include "core/race_model.h"
 #include "core/satin.h"
 #include "scenario/experiments.h"
-#include "sim/batch.h"
 #include "sim/fork.h"
 #include "sim/parallel.h"
 #include "sim/stats.h"
@@ -32,10 +31,9 @@ namespace {
 
 // Event-driven duel with the rootkit's trace forced to `offset`: a bare
 // evader (KProber + a rootkit whose single trace sits at the probe
-// offset) against the PKM baseline. Decomposed as a LockstepTrial so
-// TrialRunner::run_sharded can interleave it with shard-mates; the
-// --batch=1 path drives the very same class to completion inline.
-class SpotDuelTrial final : public sim::LockstepTrial {
+// offset) against the PKM baseline. The thread pool and the fork ladder
+// both drive it to its verdict through run_to_verdict().
+class SpotDuelTrial {
  public:
   // Staged construction for COW fork branching (sim/fork.h): the
   // constructor runs everything a branch can share — trusted boot, prober
@@ -69,18 +67,21 @@ class SpotDuelTrial final : public sim::LockstepTrial {
     s_.run_for(sim::Duration::from_ms(10));  // prober warm-up
   }
 
-  // One-shot path (the pre-fork run of record): optional idle engagement
-  // ramp (--ramp-s; the prober stays deployed, nothing armed), then
+  // One-shot path (the pre-fork run of record): optional ramp, then
   // engage immediately.
-  SpotDuelTrial(std::size_t offset, char* caught, double ramp_s = 0.0)
-      : SpotDuelTrial() {
+  SpotDuelTrial(std::size_t offset, double ramp_s) : SpotDuelTrial() {
+    ramp(ramp_s);
+    engage(offset);
+  }
+
+  // Idle engagement ramp (--ramp-s): the prober stays deployed, nothing
+  // is armed.
+  void ramp(double ramp_s) {
     if (ramp_s > 0.0) s_.run_for(sim::Duration::from_sec_f(ramp_s));
-    engage(offset, caught);
   }
 
   // Arms the rootkit trace at `offset` and starts the duel; call once.
-  void engage(std::size_t offset, char* caught) {
-    caught_ = caught;
+  void engage(std::size_t offset) {
     attack::TraceSpec trace;
     trace.name = "probe";
     trace.offset = offset;
@@ -95,20 +96,16 @@ class SpotDuelTrial final : public sim::LockstepTrial {
     kit_.install();
   }
 
-  bool done() const override { return baseline_.rounds() >= 6; }
-  void advance(sim::Duration quantum) override { s_.run_for(quantum); }
-  // advance() IS engine run_until (Scenario::run_for), with no
-  // request_stop use, so the fused shard loop may drive it directly.
-  sim::Engine* fused_engine() override { return &s_.engine(); }
-  void finish() override {
+  // Runs the engaged duel in 1 s slices until the baseline's sixth
+  // round, stops it, and returns whether it alarmed (caught the trace).
+  bool run_to_verdict() {
+    while (baseline_.rounds() < 6) s_.run_for(sim::Duration::from_sec(1));
     baseline_.stop();
     if (auto* registry = obs::metrics()) {
       obs::snapshot_engine_metrics(s_.engine(), *registry,
                                    /*include_wall=*/false);
     }
-    if (caught_ != nullptr) {
-      *caught_ = static_cast<char>(baseline_.alarm_count() > 0);
-    }
+    return baseline_.alarm_count() > 0;
   }
 
  private:
@@ -116,7 +113,6 @@ class SpotDuelTrial final : public sim::LockstepTrial {
   core::Satin baseline_;
   attack::Rootkit kit_;
   attack::KProber prober_;
-  char* caught_ = nullptr;
 };
 
 // One Monte-Carlo batch: draws per batch from a seed that depends only on
@@ -157,11 +153,9 @@ int main(int argc, char** argv) {
       !ramp.empty()) {
     ramp_s = std::max(0.0, satin::obs::parse_number<double>("--ramp-s", ramp));
   }
-  // How the spot-duel ladder runs, never what it prints: --batch=K runs
-  // lockstep shards of K duels, --branches=N fork children in groups of
-  // N, and --fork-prefix=S shares each group's warm prefix (boot, warm-up,
-  // ramp) across its children.
-  const int batch = bench::take_count_flag(argc, argv, "batch", 1);
+  // How the spot-duel ladder runs, never what it prints: --branches=N
+  // runs fork children in groups of N, and --fork-prefix=S shares each
+  // group's warm prefix (boot, warm-up, ramp) across its children.
   const int branches = bench::take_count_flag(argc, argv, "branches", 0);
   double fork_prefix_s = 0.0;
   if (const std::string prefix =
@@ -174,12 +168,6 @@ int main(int argc, char** argv) {
     }
   }
   satin::obs::refuse_leftover_args(argc, argv);
-  if (branches > 0 && batch > 1) {
-    std::fprintf(stderr,
-                 "bench_race_analysis: --branches and --batch are mutually "
-                 "exclusive\n");
-    return 2;
-  }
   hw::TimingParams timing;
   const int jobs = obs.jobs(/*fallback=*/1);
 
@@ -198,7 +186,6 @@ int main(int argc, char** argv) {
   constexpr int kDrawsPerBatch = 1'000;
   sim::TrialRunnerOptions mc_options;
   mc_options.jobs = jobs;
-  mc_options.flight_ring = obs.flight_ring();
   mc_options.root_seed = 11;
   sim::TrialRunner mc_runner(mc_options);
   const std::vector<int> batch_escapes = mc_runner.run_collect(
@@ -231,7 +218,6 @@ int main(int argc, char** argv) {
   constexpr std::size_t kProbeCount = sizeof(probes) / sizeof(probes[0]);
   sim::TrialRunnerOptions duel_options;
   duel_options.jobs = jobs;
-  duel_options.flight_ring = obs.flight_ring();
   std::vector<char> caught(kProbeCount, 0);
   std::size_t duel_trials = 0;
   double duel_wall_s = 0.0;
@@ -249,20 +235,17 @@ int main(int argc, char** argv) {
     fork_options.marker_seed = [&seeds](std::size_t global) {
       return seeds.seed_for(global);
     };
-    const auto run_to_verdict = [](SpotDuelTrial& trial, char& c) {
-      while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
-      trial.finish();
-      return std::string(c ? "1" : "0");
+    const auto verdict = [](SpotDuelTrial& trial) {
+      return std::string(trial.run_to_verdict() ? "1" : "0");
     };
     sim::GroupPrefix warm_prefix;
     if (fork_prefix_s > 0.0) {
       warm_prefix = [&](std::size_t) -> sim::ForkServer::Body {
         auto trial = std::make_shared<SpotDuelTrial>();
-        if (ramp_s > 0.0) trial->advance(sim::Duration::from_sec_f(ramp_s));
+        trial->ramp(ramp_s);
         return [&, trial](std::size_t index) {
-          char c = 0;
-          trial->engage(probes[index].offset, &c);
-          return run_to_verdict(*trial, c);
+          trial->engage(probes[index].offset);
+          return verdict(*trial);
         };
       };
     }
@@ -271,9 +254,8 @@ int main(int argc, char** argv) {
       const std::vector<std::string> payloads = sim::run_fork_groups(
           kProbeCount, static_cast<std::size_t>(branches), fork_options,
           [&](std::size_t index) {
-            char c = 0;
-            SpotDuelTrial trial(probes[index].offset, &c, ramp_s);
-            return run_to_verdict(trial, c);
+            SpotDuelTrial trial(probes[index].offset, ramp_s);
+            return verdict(trial);
           },
           warm_prefix);
       for (std::size_t i = 0; i < kProbeCount; ++i) {
@@ -288,26 +270,12 @@ int main(int argc, char** argv) {
                       std::chrono::steady_clock::now() - fork_t0)
                       .count();
   } else {
-    // --batch=K: lockstep shards of K trials; output rows are
-    // byte-identical to --batch=1 (one trial at a time) for every K.
     sim::TrialRunner duel_runner(duel_options);
-    if (batch > 1) {
-      duel_runner.run_sharded(
-          kProbeCount, static_cast<std::size_t>(batch),
-          sim::Duration::from_sec(1),
-          [&probes, &caught, ramp_s](const sim::TrialContext& ctx) {
-            return std::make_unique<SpotDuelTrial>(probes[ctx.index].offset,
-                                                   &caught[ctx.index], ramp_s);
-          });
-    } else {
-      duel_runner.run(kProbeCount, [&probes, &caught, ramp_s](
-                                       const sim::TrialContext& ctx) {
-        SpotDuelTrial trial(probes[ctx.index].offset, &caught[ctx.index],
-                            ramp_s);
-        while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
-        trial.finish();
-      });
-    }
+    duel_runner.run(kProbeCount, [&probes, &caught,
+                                  ramp_s](const sim::TrialContext& ctx) {
+      SpotDuelTrial trial(probes[ctx.index].offset, ramp_s);
+      caught[ctx.index] = static_cast<char>(trial.run_to_verdict());
+    });
     duel_trials = duel_runner.trials_run();
     duel_wall_s = duel_runner.wall_seconds();
   }

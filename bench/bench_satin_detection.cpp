@@ -14,14 +14,12 @@
 // --batch=, --branches= and --fork-prefix= exit 2, like any argument the
 // bench does not read. --batch=K belongs to the --clean-rounds workload.
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "scenario/experiments.h"
 #include "secure/digest_cache.h"
-#include "sim/batch.h"
 #include "sim/parallel.h"
 
 namespace {
@@ -35,137 +33,95 @@ std::uint64_t take_clean_rounds(int& argc, char** argv) {
                               "--clean-rounds", rounds);
 }
 
-// One clean-run replica, decomposed as a LockstepTrial so --batch=K can
-// interleave K of them in a shard: setup in the constructor, 500 ms
-// quanta (the historical slicing of the inline loop below), stop + drain
-// + stats in finish(). Replica 0 prints the rows of record.
-class CleanRoundsTrial final : public satin::sim::LockstepTrial {
- public:
-  CleanRoundsTrial(const satin::scenario::ScenarioConfig& config,
-                   std::uint64_t target, std::uint64_t* alarms, bool print)
-      : system_(config),
-        satin_(system_.platform(), system_.kernel(), system_.tsp(),
-               clean_config()),
-        target_(target),
-        alarms_(alarms),
-        print_(print) {
-    satin_.start();
-  }
+// SATIN alone (no attacker, no workload churn) with a brisk tp: one area
+// every 50 ms, so hashing dominates the events.
+satin::core::SatinConfig clean_config() {
+  satin::core::SatinConfig config;
+  config.tp_s = 0.05;
+  return config;
+}
 
-  bool done() const override { return satin_.rounds() >= target_; }
-  void advance(satin::sim::Duration quantum) override {
-    system_.run_for(quantum);
-  }
-  // advance() is exactly engine run_until, so the fused pass may drive it.
-  satin::sim::Engine* fused_engine() override { return &system_.engine(); }
-  void finish() override {
-    satin_.stop();
-    system_.run_for(satin::sim::Duration::from_ms(500));  // drain in-flight
-    *alarms_ = satin_.alarm_count();
-    if (print_) print_rows(system_, satin_);
-  }
-
-  static satin::core::SatinConfig clean_config() {
-    satin::core::SatinConfig config;
-    config.tp_s = 0.05;  // one area every 50 ms: hashing dominates events
-    return config;
-  }
-
-  static void print_rows(satin::scenario::Scenario& system,
-                         satin::core::Satin& satin) {
-    using namespace satin;
-    const auto& stats = satin.checker().introspector().digest_cache().stats();
-    bench::heading("SATIN clean-round introspection (digest-cache workload)");
-    bench::text_row("introspection rounds", std::to_string(satin.rounds()));
-    bench::text_row("full kernel cycles", std::to_string(satin.full_cycles()));
-    bench::text_row("areas", std::to_string(satin.area_count()));
-    bench::text_row("alarms", std::to_string(satin.alarm_count()),
-                    "(every digest matched the authorized value)");
-    bench::sci_row("simulated duration (s)", {system.now().sec()});
-    // Shadow mode keeps this bookkeeping identical with the cache off, so
-    // these rows are safe to print under the on-vs-off stdout diff. The
-    // pristine-base serve path counts served chunks as misses for the
-    // same reason, so they also hold between --batch=1 and --batch=K.
-    bench::subheading("digest cache");
-    bench::text_row("chunk hits", std::to_string(stats.hits));
-    bench::text_row("chunk misses", std::to_string(stats.misses));
-    bench::text_row("chunk invalidations",
-                    std::to_string(stats.invalidations));
-    bench::text_row("bypasses", std::to_string(stats.bypasses));
-    bench::text_row("bytes hashed", std::to_string(stats.bytes_hashed));
-    bench::text_row("bytes skipped", std::to_string(stats.bytes_skipped));
-  }
-
- private:
-  satin::scenario::Scenario system_;
-  satin::core::Satin satin_;
-  std::uint64_t target_;
-  std::uint64_t* alarms_;
-  bool print_;
-};
-
-// --clean-rounds=N: a hash-dominated workload for the incremental digest
-// cache. SATIN runs alone (no attacker, no workload churn) with a brisk
-// tp, so almost every round re-hashes a byte-identical area: exactly the
-// mostly-clean steady state §VI-B1's long runs spend their time in. With
-// the cache on, warm rounds skip the full re-hash in host time; simulated
-// time, digests and every stdout row below stay bit-identical to
-// --digest-cache=off (the CI gate diffs the two).
-//
-// With --batch=K (K >= 2) the run becomes K replicas in one lockstep
-// shard: replica 0 keeps the default platform seed and prints the very
-// same rows as the inline single run (CI diffs them), the rest take
-// sweep seeds. Because this workload is dominated by the per-replica
-// fixed costs the fused pass shares — kernel-image construction, boot
-// authorization, the first-cycle hash of every chunk — it is the
-// headline A/B for --batch=K against K sequential --batch=1 runs in
-// scripts/run_benches.sh.
-int run_clean_rounds(std::uint64_t target, int batch,
-                     satin::bench::ObsGuard& obs) {
+void print_clean_rows(satin::scenario::Scenario& system,
+                      satin::core::Satin& satin) {
   using namespace satin;
-  const std::string name = std::string("bench_satin_detection_clean_") +
-                           (secure::digest_cache_default() ? "on" : "off");
-  if (batch > 1) {
-    sim::TrialRunnerOptions options;
-    options.jobs = obs.jobs(/*fallback=*/1);
-    options.flight_ring = obs.flight_ring();
-    sim::TrialRunner runner(options);
-    const auto replicas = static_cast<std::size_t>(batch);
-    std::vector<std::uint64_t> alarms(replicas, 0);
-    // Match the inline loop's historical 500 ms slicing so replica 0 stops
-    // on the same round boundary and prints identical rows.
-    runner.run_sharded(replicas, replicas, sim::Duration::from_ms(500),
-                       [&](const sim::TrialContext& ctx) {
-                         scenario::ScenarioConfig config;
-                         config.platform.seed =
-                             ctx.index == 0 ? hw::PlatformConfig{}.seed
-                                            : ctx.seed;
-                         return std::make_unique<CleanRoundsTrial>(
-                             config, target, &alarms[ctx.index],
-                             ctx.index == 0);
-                       });
-    // All replicas form one shard, so one worker ran them.
-    bench::json_row(name, runner.trials_run(), runner.jobs_for(/*shards=*/1),
-                    runner.wall_seconds());
-    for (std::uint64_t a : alarms) {
-      if (a != 0) return 1;
-    }
-    return 0;
-  }
-  scenario::Scenario system;
+  const auto& stats = satin.checker().introspector().digest_cache().stats();
+  bench::heading("SATIN clean-round introspection (digest-cache workload)");
+  bench::text_row("introspection rounds", std::to_string(satin.rounds()));
+  bench::text_row("full kernel cycles", std::to_string(satin.full_cycles()));
+  bench::text_row("areas", std::to_string(satin.area_count()));
+  bench::text_row("alarms", std::to_string(satin.alarm_count()),
+                  "(every digest matched the authorized value)");
+  bench::sci_row("simulated duration (s)", {system.now().sec()});
+  // Shadow mode keeps this bookkeeping identical with the cache off, so
+  // these rows are safe to print under the on-vs-off stdout diff. The
+  // pristine-base serve path counts served chunks as misses for the same
+  // reason, so they also hold whichever replicas shared a worker.
+  bench::subheading("digest cache");
+  bench::text_row("chunk hits", std::to_string(stats.hits));
+  bench::text_row("chunk misses", std::to_string(stats.misses));
+  bench::text_row("chunk invalidations", std::to_string(stats.invalidations));
+  bench::text_row("bypasses", std::to_string(stats.bypasses));
+  bench::text_row("bytes hashed", std::to_string(stats.bytes_hashed));
+  bench::text_row("bytes skipped", std::to_string(stats.bytes_skipped));
+}
+
+// One clean-run replica: runs in 500 ms slices until `target` rounds (so
+// it stops near the target instead of overshooting by a whole horizon),
+// then stops SATIN and drains in-flight rounds. Returns the alarm count;
+// `print` emits the rows of record.
+std::uint64_t run_clean_replica(const satin::scenario::ScenarioConfig& config,
+                                std::uint64_t target, bool print) {
+  using namespace satin;
+  scenario::Scenario system(config);
   core::Satin satin(system.platform(), system.kernel(), system.tsp(),
-                    CleanRoundsTrial::clean_config());
+                    clean_config());
   satin.start();
-  // Slice the run so we stop near the target instead of overshooting by
-  // a whole horizon; the loop is deterministic (sim-time driven).
   while (satin.rounds() < target) {
     system.run_for(sim::Duration::from_ms(500));
   }
   satin.stop();
   system.run_for(sim::Duration::from_ms(500));  // drain in-flight rounds
-  CleanRoundsTrial::print_rows(system, satin);
-  bench::json_row(name, satin.rounds(), 1, system.engine().wall_seconds());
-  return satin.alarm_count() == 0 ? 0 : 1;
+  if (print) print_clean_rows(system, satin);
+  return satin.alarm_count();
+}
+
+// --clean-rounds=N: a hash-dominated workload for the incremental digest
+// cache, the mostly-clean steady state §VI-B1's long runs spend their time
+// in: almost every round re-hashes a byte-identical area. With the cache
+// on, warm rounds skip the full re-hash in host time; simulated time,
+// digests and every stdout row below stay bit-identical to
+// --digest-cache=off (the CI gate diffs the two).
+//
+// --batch=K runs K replicas through the thread pool (--jobs=J): replica 0
+// keeps the default platform seed and prints the rows of record, the rest
+// take sweep seeds. Replicas on one worker share its kernel image and
+// pristine digest base, and this workload is dominated by exactly those
+// per-replica fixed costs (kernel-image construction, boot authorization,
+// the first-cycle hash of every chunk), so it is the headline A/B for one
+// --batch=K run against K separate --batch=1 runs in
+// scripts/run_benches.sh.
+int run_clean_rounds(std::uint64_t target, int batch,
+                     satin::bench::ObsGuard& obs) {
+  using namespace satin;
+  sim::TrialRunnerOptions options;
+  options.jobs = obs.jobs(/*fallback=*/1);
+  sim::TrialRunner runner(options);
+  const auto replicas = static_cast<std::size_t>(batch);
+  const std::vector<std::uint64_t> alarms =
+      runner.run_collect(replicas, [target](const sim::TrialContext& ctx) {
+        scenario::ScenarioConfig config;
+        config.platform.seed =
+            ctx.index == 0 ? hw::PlatformConfig{}.seed : ctx.seed;
+        return run_clean_replica(config, target, ctx.index == 0);
+      });
+  bench::json_row(std::string("bench_satin_detection_clean_") +
+                      (secure::digest_cache_default() ? "on" : "off"),
+                  runner.trials_run(), runner.jobs_for(replicas),
+                  runner.wall_seconds());
+  for (std::uint64_t a : alarms) {
+    if (a != 0) return 1;
+  }
+  return 0;
 }
 
 }  // namespace
@@ -186,7 +142,6 @@ int main(int argc, char** argv) {
   sweep_config.duel.rounds_target = 190;  // defaults ARE the paper config
   sweep_config.trials = kReplicas;
   sweep_config.jobs = obs.jobs(/*fallback=*/1);
-  sweep_config.flight_ring = obs.flight_ring();
 
   std::printf(
       "running %zu replicas of 190 introspection rounds (~1520 simulated s "

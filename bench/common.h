@@ -45,7 +45,7 @@ class ObsGuard : public obs::ObsSession {
   }
 };
 
-// Strips --<key>=N (a shard size or branch count) from argv; `fallback`
+// Strips --<key>=N (a replica or branch count) from argv; `fallback`
 // when absent. A junk value or one below 1 prints a diagnostic and exits 2.
 inline int take_count_flag(int& argc, char** argv, const char* key,
                            int fallback) {

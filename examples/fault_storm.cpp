@@ -64,9 +64,9 @@ int main(int argc, char** argv) {
 
   obs::ObsSession obs(argc, argv);
   const std::size_t replicas = parse_replicas(argc, argv);
-  if (argc > 1 && std::strcmp(argv[1], "-v") == 0) {
-    sim::set_log_level(sim::LogLevel::kInfo);
-  }
+  const bool verbose = argc > 1 && std::strcmp(argv[1], "-v") == 0;
+  obs::refuse_leftover_args(argc, argv, /*positional=*/verbose ? 1 : 0);
+  if (verbose) sim::set_log_level(sim::LogLevel::kInfo);
   const bool custom_spec = obs.faults_requested();
   const std::string spec0 = custom_spec
                                 ? obs.faults_spec()
@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
 
   sim::TrialRunnerOptions options;
   options.jobs = obs.jobs(/*fallback=*/1);
-  options.flight_ring = obs.flight_ring();
   sim::TrialRunner runner(options);
   const std::vector<ReplicaOutcome> outcomes = runner.run_collect(
       replicas, [&](const sim::TrialContext& ctx) {

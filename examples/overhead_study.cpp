@@ -50,10 +50,10 @@ int main(int argc, char** argv) {
   // two passes overlay on the same timeline (merge order: baseline, then
   // SATIN — the trial submission order).
   obs::ObsSession obs(argc, argv);
+  obs::refuse_leftover_args(argc, argv);
   std::printf("running mini-UnixBench twice (without / with SATIN)...\n\n");
   sim::TrialRunnerOptions options;
   options.jobs = obs.jobs(/*fallback=*/1);
-  options.flight_ring = obs.flight_ring();
   sim::TrialRunner runner(options);
   const auto passes = runner.run_collect(
       std::size_t{2}, [&obs](const sim::TrialContext& ctx) {

@@ -99,22 +99,21 @@ ring=,ring=65536
 storm_plan='bitflip@10s+60s:p=0.2'
 
 # ---- runs ------------------------------------------------------------
-# The default invocations are the oracles: one trial at a time (--jobs=1,
-# --batch=1), unforked, digest cache on.
+# The default invocations are the oracles: one worker (--jobs=1),
+# unforked, digest cache on, one --clean-rounds replica.
 run det           "$ring" "$det"
 run det_jobs8     "$ring" "$det" --jobs=8
 run clean_on      ""      "$det" --clean-rounds=400 --digest-cache=on \
   --trace="$work/clean_on.trace.json"
 run clean_off     ""      "$det" --clean-rounds=400 --digest-cache=off \
   --trace="$work/clean_off.trace.json"
+run clean_b8      ""      "$det" --clean-rounds=400 --batch=8
 run quick_on      ""      "$quick" --digest-cache=on
 run quick_off     ""      "$quick" --digest-cache=off
 run race          ""      "$race"
 run race_b3       ""      "$race" --branches=3
 run race_b8       ""      "$race" --branches=8
-run race_j2       ""      "$race" --batch=1 --jobs=2
-run race_j2_s8    ""      "$race" --batch=8 --jobs=2
-run race_j2_s4    ""      "$race" --batch=4 --jobs=2
+run race_j2       ""      "$race" --jobs=2
 run race_ramp1    ""      "$race" --ramp-s=1
 run storm_base    ""      "$storm" --faults="seed=9,$storm_plan"
 run storm_pert    ""      "$storm" --faults="seed=10,$storm_plan"
@@ -123,11 +122,11 @@ run storm_pert    ""      "$storm" --faults="seed=10,$storm_plan"
 #    oracle    mode           artifacts
 same det       det_jobs8      out met flt   # thread pool
 same clean_on  clean_off      out jsonl met flt  # digest cache off
+same clean_on  clean_b8       out           # 8 replicas on one worker
 same quick_on  quick_off      out met            # digest cache off
 same race      race_b3        out met flt   # zero-prefix fork children
 same race      race_b8        out met flt
-same race_j2   race_j2_s8     out met flt   # lockstep shards, fused pass
-same race_j2   race_j2_s4     out met flt
+same race      race_j2        out met flt   # one worker context vs two
 grep -q '"digest_cache.hits": [1-9]' "$work/clean_on.met.json" ||
   fail "clean_on: the digest cache never hit"
 
@@ -156,13 +155,16 @@ for flag in --branches=2 --fork-prefix=5 --batch=4 --shard=2 \
     --journal="$work/refused.journal" "$flag"
 done
 refuses "--faults=seed=9" "$race" --faults=seed=9
-# Each bench reads only its own flags and names any other argument; the
-# detection duel runs on the thread pool alone.
+# Each bench and example reads only its own flags and names any other
+# argument; the detection duel and the race bench's spot duels take no
+# --batch (the thread pool is their only in-process runner).
+refuses "--bogus=1" "$quick" --bogus=1
 for flag in --batch=8 --branches=3 --fork-prefix=100; do
   refuses "$flag" "$det" "$flag"
 done
 refuses "--batch=0" "$det" --clean-rounds=10 --batch=0
-for flag in --branch=3 --batch=0 --branches=0 --fork-prefix=-1 --jobs=-3; do
+for flag in --branch=3 --batch=0 --batch=4 --branches=0 --fork-prefix=-1 \
+  --jobs=-3; do
   refuses "$flag" "$race" "$flag"
 done
 

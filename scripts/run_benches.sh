@@ -7,12 +7,15 @@
 #  * cache — the hash-dominated --clean-rounds workload with the digest
 #    cache on and off: stdout must be byte-identical;
 #  * fork  — paired, interleaved A/B of bench_race_analysis's spot-duel
-#    ladder (--ramp-s=$FORK_RAMP_S), unforked against warm-prefix fork
-#    children (--branches=$FORK_BRANCHES --fork-prefix=1): stdout must be
-#    identical in every pair and the user-time ratio of medians >= 1.5x;
-#  * fused — paired A/B of $FUSED_K sequential --clean-rounds --batch=1
-#    runs against one --batch=$FUSED_K lockstep shard: stdout identical,
-#    user-time ratio of medians >= 1.3x.
+#    ladder (--ramp-s=$FORK_RAMP_S): the thread pool (one worker, whose
+#    duels share its kernel image) against warm-prefix fork children
+#    (--branches=$FORK_BRANCHES --fork-prefix=1), which share the whole
+#    warm prefix: stdout must be identical in every pair and the
+#    user-time ratio of medians >= 1.5x;
+#  * fused — paired A/B of $FUSED_K separate --clean-rounds --batch=1
+#    processes against one --batch=$FUSED_K run, whose replicas run one
+#    after another on one worker and share its kernel image and pristine
+#    digest base: stdout identical, user-time ratio of medians >= 1.3x.
 #
 # The A/Bs compare USER time over interleaved pairs because wall time on
 # a shared host drifts by more than the effects measured. Builds are not
@@ -125,8 +128,9 @@ gate_fork() { paired_ab fork "${FORK_PAIRS:-5}" 1.5 unforked warm_forked; }
 
 fused_k="${FUSED_K:-8}"
 fused_rounds="${FUSED_ROUNDS:-2000}"
-# K unsharded runs one after another; each prints the same rows, and the
-# last one's are compared.
+# K separate processes one after another, each building its own kernel
+# image and digest chains; each prints the same rows, and the last one's
+# are compared.
 sequential() {
   local i
   for i in $(seq 2 "$fused_k"); do

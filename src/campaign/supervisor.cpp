@@ -285,7 +285,6 @@ class Supervisor {
     fork_options.jobs = jobs_;
     fork_options.timeout_s = timeout_s_;
     fork_options.max_retries = max_retries_;
-    fork_options.flight_ring = options_.flight_ring;
     fork_options.scratch_dir = artifacts_dir_;
     fork_options.chaos_kill_branch =
         static_cast<int>(options_.chaos_kill_trial);
@@ -353,20 +352,13 @@ class Supervisor {
         }
       }
       if (session_flight != nullptr) {
-        const std::string path = sim::trial_flight_path(artifacts_dir_, index);
-        obs::FlightLog log;
         std::string error;
-        if (!obs::read_flight_log(path, log, &error)) {
+        if (!obs::append_trial_flight_file(
+                *session_flight, index, seeds.seed_for(index),
+                sim::trial_flight_path(artifacts_dir_, index), &error)) {
           std::fprintf(stderr, "campaign: %s (flight gap)\n", error.c_str());
           ++artifacts_missing_;
-          continue;
         }
-        // Same convention as TrialRunner: the parent emits the trial
-        // marker, then replays the trial's stream.
-        session_flight->record(obs::FlightKind::kTrialBegin, sim::Time::zero(),
-                               index, static_cast<int>(index),
-                               seeds.seed_for(index));
-        obs::replay_flight_log(log, *session_flight);
       }
     }
   }

@@ -35,10 +35,10 @@ IntegrityChecker::IntegrityChecker(hw::Platform& platform,
   for (const Area& area : areas_) {
     introspector_.register_area(area.offset, area.size);
   }
-  // Inside a lockstep shard, trials share one kernel image (sim/shard.h).
-  // When this checker's image IS that shared replica, attach the shard's
+  // On a TrialRunner worker, trials share one kernel image (sim/shard.h).
+  // When this checker's image IS that shared replica, attach the worker's
   // pristine digest base so clean-round chunk states are computed once per
-  // shard instead of once per trial. Identity-neutral: the cache only
+  // worker instead of once per trial. Identity-neutral: the cache only
   // serves chunks still provably holding the installed bytes, with the
   // same counters and digests as hashing them (secure/pristine_base.h).
   if (sim::ShardContext* shard = sim::ShardContext::current()) {
@@ -63,7 +63,7 @@ void IntegrityChecker::authorize_boot_state() {
   const auto& pristine = image_.bytes();
   const auto& base = introspector_.digest_cache().pristine_base();
   for (const Area& area : areas_) {
-    // With a shard base attached the per-area reference digest is the
+    // With a shared base attached the per-area reference digest is the
     // chain's final state — hash_resume's exact-chaining identity makes it
     // bit-equal to digest_reference over the same slice, and the chains
     // computed here are the ones clean rounds resume from later.

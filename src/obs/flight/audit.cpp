@@ -6,13 +6,16 @@
 
 namespace satin::obs {
 
-bool read_flight_log(const std::string& path, FlightLog& out,
-                     std::string* error) {
-  out = FlightLog{};
+namespace {
+
+// Opens a recording and validates its header. Returns the file positioned
+// at the first record and sets *ring, or nullptr with *error set.
+std::FILE* open_flight_log(const std::string& path, bool* ring,
+                           std::string* error) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     if (error != nullptr) *error = "cannot open " + path;
-    return false;
+    return nullptr;
   }
   // Distinguish the boring corruptions a fleet actually produces — empty
   // file from a crashed open, truncated header from a torn copy, foreign
@@ -23,7 +26,7 @@ bool read_flight_log(const std::string& path, FlightLog& out,
   if (header_n == 0) {
     if (error != nullptr) *error = path + ": empty file (zero-length recording)";
     std::fclose(f);
-    return false;
+    return nullptr;
   }
   if (header_n < sizeof(header)) {
     if (error != nullptr) {
@@ -31,12 +34,12 @@ bool read_flight_log(const std::string& path, FlightLog& out,
                " of " + std::to_string(sizeof(header)) + " bytes)";
     }
     std::fclose(f);
-    return false;
+    return nullptr;
   }
   if (std::memcmp(header, kFlightMagic, sizeof(kFlightMagic)) != 0) {
     if (error != nullptr) *error = path + ": not a flight recording";
     std::fclose(f);
-    return false;
+    return nullptr;
   }
   const std::uint32_t version = static_cast<std::uint32_t>(header[8]) |
                                 (static_cast<std::uint32_t>(header[9]) << 8) |
@@ -52,39 +55,82 @@ bool read_flight_log(const std::string& path, FlightLog& out,
       *error = path + ": unsupported version/record size";
     }
     std::fclose(f);
-    return false;
+    return nullptr;
   }
-  out.ring = (header[16] & 1) != 0;
+  *ring = (header[16] & 1) != 0;
+  return f;
+}
 
+// Walks the records after the header: calls on_record for each one up to
+// the footer (or EOF without one: tolerated, a crashed run), then
+// on_footer for the footer if present. Returns false with *error on a
+// torn record at the end of the file.
+template <typename OnRecord, typename OnFooter>
+bool walk_flight_records(std::FILE* f, const std::string& path,
+                         std::string* error, OnRecord&& on_record,
+                         OnFooter&& on_footer) {
   unsigned char buf[kFlightRecordBytes];
   for (;;) {
     const std::size_t n = std::fread(buf, 1, sizeof(buf), f);
-    if (n == 0) break;  // EOF without footer: tolerated (crashed run)
+    if (n == 0) return true;
     if (n != sizeof(buf)) {
       if (error != nullptr) *error = path + ": torn record at end of file";
-      std::fclose(f);
       return false;
     }
     const FlightRecord rec = decode_flight_record(buf);
     if (rec.kind == static_cast<std::uint16_t>(FlightKind::kEof)) {
-      out.has_footer = true;
-      out.commits = static_cast<std::uint64_t>(rec.t_ps);
-      out.dropped = rec.seq;
-      out.chain_hash = rec.payload;
-      break;
+      on_footer(rec);
+      return true;
     }
-    out.records.push_back(rec);
+    on_record(rec);
   }
-  std::fclose(f);
-  return true;
 }
 
-void replay_flight_log(const FlightLog& log, FlightRecorder& out) {
-  for (const FlightRecord& rec : log.records) {
-    out.record(static_cast<FlightKind>(rec.kind), sim::Time::from_ps(rec.t_ps),
-               rec.seq, rec.actor, rec.payload);
+}  // namespace
+
+bool read_flight_log(const std::string& path, FlightLog& out,
+                     std::string* error) {
+  out = FlightLog{};
+  std::FILE* f = open_flight_log(path, &out.ring, error);
+  if (f == nullptr) return false;
+  const bool ok = walk_flight_records(
+      f, path, error,
+      [&](const FlightRecord& rec) { out.records.push_back(rec); },
+      [&](const FlightRecord& footer) {
+        out.has_footer = true;
+        out.commits = static_cast<std::uint64_t>(footer.t_ps);
+        out.dropped = footer.seq;
+        out.chain_hash = footer.payload;
+      });
+  std::fclose(f);
+  return ok;
+}
+
+bool append_trial_flight_file(FlightRecorder& out, std::uint64_t index,
+                              std::uint64_t seed, const std::string& path,
+                              std::string* error) {
+  bool ring = false;
+  std::FILE* f = open_flight_log(path, &ring, error);
+  if (f == nullptr) return false;
+  // A first pass finds a torn tail before anything is recorded, so a
+  // damaged file appends nothing, exactly as read_flight_log rejects it.
+  bool ok = walk_flight_records(
+      f, path, error, [](const FlightRecord&) {}, [](const FlightRecord&) {});
+  if (ok) {
+    out.record(FlightKind::kTrialBegin, sim::Time::zero(), index,
+               static_cast<int>(index), seed);
+    std::fseek(f, static_cast<long>(kFlightHeaderBytes), SEEK_SET);
+    ok = walk_flight_records(
+        f, path, error,
+        [&](const FlightRecord& rec) {
+          out.record(static_cast<FlightKind>(rec.kind),
+                     sim::Time::from_ps(rec.t_ps), rec.seq, rec.actor,
+                     rec.payload);
+        },
+        [&](const FlightRecord& footer) { out.note_dropped(footer.seq); });
   }
-  out.note_dropped(log.dropped);
+  std::fclose(f);
+  return ok;
 }
 
 FlightStats compute_flight_stats(const FlightLog& log) {

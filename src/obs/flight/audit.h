@@ -42,13 +42,18 @@ struct FlightLog {
 bool read_flight_log(const std::string& path, FlightLog& out,
                      std::string* error = nullptr);
 
-// Re-records a loaded log into `out` in commit order and folds the log's
-// drop count; record-for-record this reproduces the chain-hash evolution
-// the original commits produced. The campaign supervisor uses this to
-// merge per-trial flight files (written by worker processes) into the
-// session stream in trial-index order — the cross-process analogue of
-// FlightRecorder::append_from.
-void replay_flight_log(const FlightLog& log, FlightRecorder& out);
+// Appends trial `index`'s recording at `path` to `out` the way every
+// per-trial merge does: a kTrialBegin marker (actor = index, payload =
+// `seed`), then the trial's records re-recorded in commit order, then its
+// footer's drop count — record for record the chain-hash evolution the
+// original commits produced. Streams the file, so memory does not grow
+// with its length. Fails (returning false, with nothing recorded, the
+// marker included) wherever read_flight_log would. TrialRunner's spill
+// merge, ForkServer::merge_obs and the campaign supervisor fold per-trial
+// files into the session stream with it, in trial-index order.
+bool append_trial_flight_file(FlightRecorder& out, std::uint64_t index,
+                              std::uint64_t seed, const std::string& path,
+                              std::string* error = nullptr);
 
 struct FlightStats {
   std::uint64_t total = 0;

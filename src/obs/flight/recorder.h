@@ -20,12 +20,14 @@
 //    needs); the file is written on close(). Dropped-record counts are
 //    preserved in the footer.
 //  * In-memory mode (no path): same ring/unbounded retention, no file —
-//    per-trial recorders and tests.
+//    per-trial recorders of a ring or in-memory session, and tests.
 //
 // Threading follows the PR-3 obs discipline: a thread_local slot, one
 // pointer test per macro when no recorder is installed, per-trial
-// recorders installed by sim::TrialRunner and merged (append_from) in
-// submission order, so the merged stream is identical for any --jobs.
+// recorders installed by sim::TrialRunner in the installed recorder's
+// mode and merged in submission order (append_from, or a spilled trial's
+// file via obs::append_trial_flight_file), so the merged stream is
+// identical for any --jobs.
 //
 // A chain hash (FNV-1a folded over every record in commit order) rides
 // along so `satin_flightool stats` can compare two recordings O(1).
@@ -118,6 +120,8 @@ class FlightRecorder {
   // FNV-1a fold over every committed record, in commit order.
   std::uint64_t chain_hash() const { return chain_; }
 
+  // Ring capacity (0 = no ring: spill or unbounded in-memory retention).
+  std::size_t ring() const { return options_.ring; }
   bool ring_mode() const { return options_.ring > 0; }
   bool spilling() const { return file_ != nullptr && !ring_mode(); }
   const std::string& path() const { return options_.path; }

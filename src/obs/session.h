@@ -90,8 +90,8 @@ class ObsSession {
   // from the metrics snapshot, so identity gates can diff it verbatim.
   // A non-numeric, junk-suffixed or negative --jobs, a bad ring=, or a
   // --digest-cache= value other than on|off prints a diagnostic and
-  // exits 2. Flags that shape one program's sweep (--batch=,
-  // --branches=, ...) belong to that program, which takes them itself.
+  // exits 2. Flags that shape one program's sweep (--branches=,
+  // --batch=, ...) belong to that program, which takes them itself.
   ObsSession(int& argc, char** argv,
              std::size_t trace_capacity = 1u << 20);
   ~ObsSession();

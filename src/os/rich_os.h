@@ -42,7 +42,7 @@ struct OsConfig {
 class RichOs final : public hw::WorldListener {
  public:
   RichOs(hw::Platform& platform, KernelImage image, OsConfig config = {});
-  // Shared-image form: several trials in a lockstep shard reference one
+  // Shared-image form: the trials of one TrialRunner worker reference one
   // immutable KernelImage (the ctor is 8.7% of the batched-bench profile;
   // the image never mutates after construction, so sharing is safe —
   // fault-injected corruption lands on hw::Memory views, never here).

@@ -209,7 +209,6 @@ DuelSweep run_duel_sweep(
   sim::TrialRunnerOptions options;
   options.jobs = config.jobs;
   options.root_seed = config.root_seed;
-  options.flight_ring = config.flight_ring;
 
   DuelSweep sweep;
   sim::TrialRunner runner(options);

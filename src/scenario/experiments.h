@@ -106,13 +106,14 @@ struct DuelReport {
 // equal bit-for-bit. A compact fingerprint for comparing reports.
 std::string encode_duel_report(const DuelReport& report);
 
-// One duel, decomposed so TrialRunner::run_sharded can interleave it
-// with shard-mates: the constructor performs the full setup (trusted boot,
-// prober deployment and 10 ms warm-up, SATIN start, rootkit install),
-// advance() runs one slice of simulated time, finish() stops both sides
-// and correlates detections against ground truth. run_duel() is exactly
-// construct + advance(1 s) until done + finish, so sliced and unsliced
-// execution produce identical reports by construction.
+// One duel, decomposed into phases a caller can drive and time one by
+// one (the perfbench load generator times each): the constructor performs
+// the full setup (trusted boot, prober deployment and 10 ms warm-up, SATIN
+// start, rootkit install), advance() runs one slice of simulated time,
+// finish() stops both sides and correlates detections against ground
+// truth. run_duel() is exactly construct + advance(1 s) until done +
+// finish; run_for slicing is inert in the event engine, so any slicing
+// produces the same report.
 class DuelTrial {
  public:
   DuelTrial(Scenario& scenario, const DuelConfig& config);
@@ -153,9 +154,6 @@ struct DuelSweepConfig {
   // hardware thread).
   int jobs = 1;
   std::uint64_t root_seed = 0x5A71A57ull;
-  // Per-trial flight-recorder ring capacity (0 = full per-trial stream);
-  // pass ObsSession::flight_ring() so --flight=...,ring=N bounds trials too.
-  std::size_t flight_ring = 0;
 };
 
 struct DuelSweep {

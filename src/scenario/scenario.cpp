@@ -9,9 +9,9 @@ namespace {
 
 // The default kernel image is a pure function of (make_default_map(), its
 // fixed fill seed) and fully immutable after construction, so every trial
-// in a lockstep shard can reference one replica. Outside a fused shard
-// (ShardContext::current() == nullptr) each trial builds its own, exactly
-// as before — the run of record never touches the shared path.
+// a TrialRunner worker runs can reference one replica. Outside a worker
+// (ShardContext::current() == nullptr: fork children, campaign trials,
+// examples) each Scenario builds its own.
 std::shared_ptr<const os::KernelImage> default_kernel_image() {
   if (sim::ShardContext* shard = sim::ShardContext::current()) {
     return shard->get_or_create<const os::KernelImage>(

@@ -73,14 +73,14 @@ DigestCache::RoundOutcome DigestCache::round_digest(
     return out;
   }
 
-  // Shard-shared pristine base: when attached, and the backing memory has
+  // Worker-shared pristine base: when attached, and the backing memory has
   // a post-boot baseline stamp, chunks whose generation never moved past
   // that stamp still hold exactly the installed image bytes — their resume
   // states can be served from the shared chain instead of re-hashed. The
   // eligibility check below makes served chunks bit-identical to hashing
   // (gen unchanged since baseline + trusted zero-copy view + matching
   // incoming state), and the round accounts them as misses either way, so
-  // scalar and fused runs print the same counters.
+  // runs with and without a base print the same counters.
   const PristineBase::AreaChain* base_chain = nullptr;
   std::uint64_t baseline_gen = 0;
   if (base_ != nullptr) {

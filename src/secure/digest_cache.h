@@ -114,7 +114,7 @@ class DigestCache {
 
   const Stats& stats() const { return stats_; }
 
-  // Attaches a shard-shared pristine-image digest base (see
+  // Attaches a worker-shared pristine-image digest base (see
   // secure/pristine_base.h). Chunks that provably still hold the
   // installed image bytes take their resume states from the base instead
   // of re-hashing — counters, cache entries and digests are identical by
@@ -126,8 +126,8 @@ class DigestCache {
   const std::shared_ptr<PristineBase>& pristine_base() const { return base_; }
 
   // Chunks whose resume states were served from the pristine base
-  // (diagnostic only — deliberately outside Stats so the fused and scalar
-  // runs stay identical on every printed counter).
+  // (diagnostic only — deliberately outside Stats so runs with and
+  // without a base stay identical on every printed counter).
   std::uint64_t base_served_chunks() const { return base_served_; }
 
  private:

@@ -1,11 +1,11 @@
-// Shared pristine-image digest chains for lockstep shards.
+// Shared pristine-image digest chains for the trials of one worker.
 //
 // Every trial's first introspection rounds hash the same bytes: the
 // freshly installed kernel image, chunk by chunk, under the same hash
-// kind. In a lockstep shard those trials share one immutable image (see
-// sim/shard.h), so the streaming per-chunk hash states — state entering
-// each 256-byte chunk and state after absorbing it — are also identical
-// across trials and can be computed once per shard.
+// kind. The trials a TrialRunner worker runs share one immutable image
+// (see sim/shard.h), so the streaming per-chunk hash states — state
+// entering each 256-byte chunk and state after absorbing it — are also
+// identical across them and can be computed once per worker.
 //
 // A PristineBase owns (via an aliasing shared_ptr) a view of the pristine
 // image bytes and lazily memoizes, per (hash kind, area, chunk size), the
@@ -32,7 +32,7 @@ namespace satin::secure {
 
 class PristineBase {
  public:
-  // `owner` keeps the byte storage alive (typically the shard's shared
+  // `owner` keeps the byte storage alive (typically the worker's shared
   // kernel image); `bytes` is the pristine content installed at physical
   // offset 0.
   PristineBase(std::shared_ptr<const void> owner,

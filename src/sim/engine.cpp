@@ -254,14 +254,6 @@ bool Engine::fire_next(Time limit) {
   return true;
 }
 
-Time Engine::next_event_time(Time limit) {
-  settle_tops(limit);
-  Time best = Time::max();
-  if (!drain_.empty()) best = drain_.front().when;
-  if (!heap_.empty() && heap_.front().when < best) best = heap_.front().when;
-  return best;
-}
-
 bool Engine::step() {
   // Same contract as run_until/run_all: a stop request only affects the
   // run it was issued inside of; entering a new (single-step) run clears

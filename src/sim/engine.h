@@ -97,17 +97,6 @@ class Engine {
   // Drains the queue completely (use only for bounded simulations).
   std::size_t run_all();
 
-  // Timestamp of the next live event, or Time::max() when the queue holds
-  // nothing at or before `limit`. Settles the queue tops exactly as far as
-  // a run_until(limit) would before its first dispatch — cancelled-top
-  // pops and bucket loads this performs are ones that run would perform —
-  // so peeking at the current run deadline is observationally inert. The
-  // fused lockstep pass (sim/parallel.cpp) uses this to order K trials'
-  // engines by their merged event frontier. Do not pass Time::max() while
-  // running to a nearer deadline: that would load far buckets early and
-  // perturb the wheel-vs-heap admission counters against the scalar run.
-  Time next_event_time(Time limit);
-
   // Callable from inside a callback: makes the enclosing run_* return once
   // the current event finishes. A request issued outside any run is inert:
   // step/run_until/run_all all clear it on entry.

@@ -106,6 +106,17 @@ std::string trial_flight_path(const std::string& dir, std::uint64_t index) {
   return dir + "/trial_" + std::to_string(index) + ".flt";
 }
 
+std::string make_trial_scratch_dir() {
+  const char* tmp = std::getenv("TMPDIR");
+  std::string templ =
+      std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
+      "/satin-trials-XXXXXX";
+  std::vector<char> buf(templ.begin(), templ.end());
+  buf.push_back('\0');
+  if (::mkdtemp(buf.data()) == nullptr) return {};
+  return buf.data();
+}
+
 struct ForkServer::Slot {
   pid_t pid = -1;
   int fd = -1;  // child's result pipe (read end)
@@ -277,20 +288,14 @@ std::vector<ForkOutcome> ForkServer::run(
   }
   artifacts_dir_ = options_.scratch_dir;
   if ((want_metrics_ || want_flight_) && artifacts_dir_.empty()) {
-    const char* tmp = std::getenv("TMPDIR");
-    std::string templ =
-        std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
-        "/satin-fork-XXXXXX";
-    std::vector<char> buf(templ.begin(), templ.end());
-    buf.push_back('\0');
-    if (::mkdtemp(buf.data()) == nullptr) {
+    scratch_ = make_trial_scratch_dir();
+    if (scratch_.empty()) {
       for (std::size_t pos = 0; pos < outcomes_.size(); ++pos) {
         outcomes_[pos].error = "mkdtemp() failed";
         settle(pos);
       }
       return outcomes_;
     }
-    scratch_ = buf.data();
     artifacts_dir_ = scratch_;
   }
 
@@ -491,19 +496,12 @@ void ForkServer::merge_obs() {
       }
     }
     if (flight != nullptr && want_flight_) {
-      obs::FlightLog log;
       std::string error;
-      if (!obs::read_flight_log(trial_flight_path(artifacts_dir_, index), log,
-                                &error)) {
+      if (!obs::append_trial_flight_file(
+              *flight, index,
+              options_.marker_seed ? options_.marker_seed(index) : 0,
+              trial_flight_path(artifacts_dir_, index), &error)) {
         std::fprintf(stderr, "fork: %s (flight gap)\n", error.c_str());
-      } else {
-        // Same convention as TrialRunner's submission-order merge: the
-        // parent emits the trial marker, then replays the child's stream.
-        flight->record(obs::FlightKind::kTrialBegin, Time::zero(),
-                       static_cast<std::uint64_t>(index),
-                       static_cast<int>(index),
-                       options_.marker_seed ? options_.marker_seed(index) : 0);
-        obs::replay_flight_log(log, *flight);
       }
     }
     remove_artifacts(index);

@@ -17,8 +17,9 @@
 // prefix: one fresh-sink child per pending trial, journaled from
 // on_settled.
 //
-// ForkServer children are one of the three ways a trial runs, next to
-// TrialRunner's thread pool and its lockstep shards (sim/parallel.h).
+// ForkServer children are one of the two ways a trial runs; the other is
+// TrialRunner's thread pool (sim/parallel.h). A child never has a
+// ShardContext installed, so it builds everything per trial.
 //
 // Observability contract (the part that keeps forked output
 // byte-identical to the unforked oracle):
@@ -108,6 +109,10 @@ struct ForkOutcome {
 // directories hold.
 std::string trial_metrics_path(const std::string& dir, std::uint64_t index);
 std::string trial_flight_path(const std::string& dir, std::uint64_t index);
+
+// Creates a private artifacts directory under $TMPDIR (default /tmp) with
+// mkdtemp(); returns its path, or "" on failure. The caller removes it.
+std::string make_trial_scratch_dir();
 
 class ForkServer {
  public:

@@ -2,33 +2,41 @@
 //
 // Every evaluation in the paper is a Monte-Carlo sweep: N independent
 // replicated simulations that differ only in their seed. Those trials
-// share nothing — each builds its own Engine/Platform/Scenario — so they
-// are embarrassingly parallel. TrialRunner fans them out over a fixed
-// pool of --jobs=J std::threads while keeping the result BIT-IDENTICAL
-// for any J, including J=1:
+// share nothing mutable — each builds its own Engine/Platform/Scenario —
+// so they are embarrassingly parallel. TrialRunner fans them out over a
+// fixed pool of --jobs=J std::threads while keeping the result
+// BIT-IDENTICAL for any J, including J=1:
 //
 //  * seeds come from TrialSeedSeq (root seed + trial index only);
 //  * every trial runs against its own thread-local MetricsRegistry /
-//    TraceRecorder (created only when the calling thread had one
-//    installed), merged back in submission order after all trials settle;
+//    TraceRecorder / FlightRecorder (created only when the calling thread
+//    had one installed), merged back in submission order after all trials
+//    settle;
 //  * results land in submission-order slots, so aggregation code never
 //    observes completion order;
 //  * exceptions are captured per trial and the first (by submission
 //    order) is rethrown once every trial has settled.
 //
+// Each worker (the calling thread when jobs=1, else each pool thread)
+// installs one sim::ShardContext for the whole run(), so the trials a
+// worker runs share the immutable default kernel image and its pristine
+// digest base (sim/shard.h). Sharing is identity-neutral, so which worker
+// ran which trial never shows in any output.
+//
 // Determinism is an acceptance gate, not a hope: the jobs=1 path goes
 // through the exact same per-trial-sink + ordered-merge machinery, so a
 // diff between jobs=1 and jobs=8 output is a bug by construction.
+//
+// The thread pool is one of the two ways a trial runs; the other is a
+// ForkServer child (sim/fork.h: fork sweeps and campaign trials).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <type_traits>
 #include <vector>
 
 #include "sim/seed_seq.h"
-#include "sim/time.h"
 
 namespace satin::obs {
 class MetricsRegistry;
@@ -38,8 +46,6 @@ class FlightRecorder;
 
 namespace satin::sim {
 
-class LockstepTrial;  // sim/batch.h
-
 struct TrialContext {
   std::size_t index = 0;    // submission order, 0-based
   std::uint64_t seed = 0;   // TrialSeedSeq::seed_for(index)
@@ -48,10 +54,9 @@ struct TrialContext {
 // Installs per-trial obs sinks into this thread's slots for the duration
 // of one trial; restores whatever the thread had on exit (pool workers
 // hold null, the inline jobs=1 path holds the caller's session sinks).
-// Shared by TrialRunner's thread workers and lockstep shards and by
-// ForkServer's children and warm fork groups (sim/fork.h) — the one
-// mechanism that keeps a trial's recording private no matter where the
-// trial runs.
+// Shared by TrialRunner's thread workers and by ForkServer's children
+// and warm fork groups (sim/fork.h) — the one mechanism that keeps a
+// trial's recording private no matter where the trial runs.
 class TrialObsScope {
  public:
   TrialObsScope(obs::MetricsRegistry* metrics, obs::TraceRecorder* tracer,
@@ -72,14 +77,6 @@ struct TrialRunnerOptions {
   int jobs = 1;
   // Root of the per-trial seed derivation (see sim/seed_seq.h).
   std::uint64_t root_seed = 0x5A71A57ull;
-  // Ring capacity of each per-trial TraceRecorder (only allocated when
-  // the calling thread has a recorder installed).
-  std::size_t trace_capacity = 1u << 20;
-  // Ring capacity of each per-trial FlightRecorder (only created when the
-  // calling thread has one installed; see obs/flight/recorder.h). 0
-  // retains each trial's full stream in memory until the submission-order
-  // merge; pass the session's --flight ring value to bound it.
-  std::size_t flight_ring = 0;
 };
 
 class TrialRunner {
@@ -96,6 +93,12 @@ class TrialRunner {
   // shared with other trials; everything it needs is derived from ctx.
   // Rethrows the first captured trial exception (submission order) after
   // all trials have settled and all obs sinks are merged.
+  //
+  // Each trial's flight recorder takes the mode of the one installed on
+  // the calling thread: a ring recorder gives every trial the same ring,
+  // a spilling one makes every trial spill to its own file in a private
+  // mkdtemp() dir (replayed by the merge, then removed), and an in-memory
+  // one keeps every trial's whole stream until the merge.
   void run(std::size_t trials, const std::function<void(const TrialContext&)>& fn);
 
   // Convenience: one result per trial, in submission-order slots. R must
@@ -110,28 +113,6 @@ class TrialRunner {
     });
     return results;
   }
-
-  // Sharded lockstep execution (--batch=K; sim/batch.h): trials are
-  // grouped into consecutive shards of `shard_size` (0 counts as 1); a
-  // worker claims a whole shard, constructs its trials via `make`, and
-  // advances them in lockstep, one `quantum` (> 0, else
-  // std::invalid_argument) of simulated time each round, until all
-  // finish. The pool is jobs_for(shard count) workers. The shard runs
-  // the fused engine pass: trials share a ShardContext (immutable kernel
-  // image, pristine digest base) and lanes exposing fused_engine()
-  // advance through merged event-frontier bursts, falling back to
-  // per-trial advance() for stragglers. Obs sinks stay PER TRIAL —
-  // installed around every construct / advance / finish call — and the
-  // final merge is run()'s submission-order merge, so for any shard size
-  // the output is byte-identical to run() provided each trial is
-  // insensitive to run_for slicing (event-engine trials are by
-  // construction). Exceptions are captured per trial; a
-  // throwing trial is destroyed (under its sinks) and its shard-mates
-  // continue.
-  void run_sharded(
-      std::size_t trials, std::size_t shard_size, Duration quantum,
-      const std::function<std::unique_ptr<LockstepTrial>(const TrialContext&)>&
-          make);
 
   // Host wall-clock spent inside run(), cumulative across calls, and the
   // trial throughput it implies. Host timing is intentionally NOT written

@@ -1,23 +1,23 @@
-// Per-shard shared-state registry for the fused lockstep pass.
+// Per-worker shared-state registry.
 //
-// A lockstep shard advances K trials through one fused event loop on one
-// worker thread. Some per-trial state is *identical* across every trial in
-// the shard — the freshly constructed os::KernelImage (8.7% of the batched
-// bench profile rebuilt K times), the pristine-image digest chains the
-// secure world hashes on every clean round. A ShardContext is a small
-// type-erased key→value map installed thread-locally for the duration of
-// one shard's run; construction sites ask `current()` for a shared replica
-// before building their own.
+// A TrialRunner worker (sim/parallel.h) runs many trials one after
+// another on one thread. Some per-trial state is *identical* across all of
+// them — the freshly constructed os::KernelImage, the pristine-image
+// digest chains the secure world hashes on every clean round. A
+// ShardContext is a small type-erased key→value map installed
+// thread-locally for the whole of one worker's share of a run; construction
+// sites ask `current()` for a shared replica before building their own.
 //
-// Identity discipline: the context is installed ONLY by the lockstep
-// shard path (TrialRunner::run_sharded, i.e. `--batch=K`). The unsharded
-// `--batch=1` run of record, fork children and campaign trials never see
-// one, so every shared object must be
-// observationally equivalent to the per-trial object it replaces — same
-// bytes, same digests, same counter increments. Tests in
-// tests/sim/batch_test.cpp and tests/os/kernel_image_test.cpp gate this.
+// Identity discipline: every TrialRunner worker installs one, for every
+// run(); ForkServer children and campaign trials never see one, and build
+// everything per trial. So every shared object must be observationally
+// equivalent to the per-trial object it replaces — same bytes, same
+// digests, same counter increments — or output would depend on which
+// trials shared a worker, i.e. on --jobs. Tests in
+// tests/sim/parallel_test.cpp and tests/os/kernel_image_test.cpp gate
+// this.
 //
-// Thread model: one shard = one worker thread; the context is
+// Thread model: one context per worker thread; the context is
 // thread_local and never shared across threads, so no locking. Entries
 // may hold shared_ptrs into other entries (aliasing), which is why values
 // are type-erased shared_ptrs with the deleter captured at insert. The
@@ -34,12 +34,12 @@ namespace satin::sim {
 
 class ShardContext {
  public:
-  // The context installed on this thread, or nullptr outside a fused
-  // shard run.
+  // The context installed on this thread, or nullptr outside a
+  // TrialRunner worker.
   static ShardContext* current();
 
   // Fetches the entry under `key`, constructing it via `make` on first
-  // use. The stored pointer is shared: every trial in the shard gets the
+  // use. The stored pointer is shared: every trial on the worker gets the
   // same object. T must be immutable (or externally synchronized — but
   // see the thread model above: prefer immutable).
   template <typename T, typename Make>
@@ -63,8 +63,8 @@ class ShardContext {
 
   std::size_t size() const { return entries_.size(); }
 
-  // RAII installer: the fused shard loop holds one of these for the
-  // duration of a shard; nesting restores the previous context on exit.
+  // RAII installer: each TrialRunner worker holds one of these for the
+  // duration of run(); nesting restores the previous context on exit.
   class Scope {
    public:
     explicit Scope(ShardContext& context);

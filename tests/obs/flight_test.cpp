@@ -236,16 +236,59 @@ TEST(FlightAuditTest, ReplayFoldsRecordsAndDrops) {
   FlightLog log;
   ASSERT_TRUE(read_flight_log(path, log));
   FlightRecorder out;
-  replay_flight_log(log, out);
-  EXPECT_EQ(out.commits(), log.records.size());
+  ASSERT_TRUE(append_trial_flight_file(out, 3, 0x5EED, path));
+  EXPECT_EQ(out.commits(), log.records.size() + 1);  // + the trial marker
   EXPECT_EQ(out.dropped(), log.dropped);
   const auto replayed = out.snapshot();
-  ASSERT_EQ(replayed.size(), log.records.size());
-  for (std::size_t i = 0; i < replayed.size(); ++i) {
-    EXPECT_EQ(replayed[i].t_ps, log.records[i].t_ps) << i;
-    EXPECT_EQ(replayed[i].payload, log.records[i].payload) << i;
+  ASSERT_EQ(replayed.size(), log.records.size() + 1);
+  EXPECT_EQ(replayed[0].kind,
+            static_cast<std::uint16_t>(FlightKind::kTrialBegin));
+  EXPECT_EQ(replayed[0].actor, 3);
+  EXPECT_EQ(replayed[0].payload, 0x5EEDu);
+  for (std::size_t i = 0; i < log.records.size(); ++i) {
+    EXPECT_EQ(replayed[i + 1], log.records[i]) << i;
   }
   std::remove(path.c_str());
+}
+
+TEST(FlightAuditTest, TornFileAppendsNothing) {
+  const std::string full_path = temp_path("flight_whole.bin");
+  const std::string torn_path = temp_path("flight_torn.bin");
+  {
+    FlightRecorder::Options opts;
+    opts.path = full_path;
+    FlightRecorder rec(opts);
+    record_n(rec, 10);
+    ASSERT_TRUE(rec.close());
+  }
+  // Keep three whole records and five bytes of the fourth.
+  {
+    std::FILE* in = std::fopen(full_path.c_str(), "rb");
+    std::FILE* out = std::fopen(torn_path.c_str(), "wb");
+    ASSERT_NE(in, nullptr);
+    ASSERT_NE(out, nullptr);
+    std::vector<unsigned char> buf(kFlightHeaderBytes +
+                                   3 * kFlightRecordBytes + 5);
+    ASSERT_EQ(std::fread(buf.data(), 1, buf.size(), in), buf.size());
+    ASSERT_EQ(std::fwrite(buf.data(), 1, buf.size(), out), buf.size());
+    std::fclose(in);
+    std::fclose(out);
+  }
+  FlightLog log;
+  std::string error;
+  EXPECT_FALSE(read_flight_log(torn_path, log, &error));
+  EXPECT_NE(error.find("torn record"), std::string::npos) << error;
+  // The streaming merge rejects it too, before recording anything.
+  FlightRecorder out;
+  error.clear();
+  EXPECT_FALSE(append_trial_flight_file(out, 0, 1, torn_path, &error));
+  EXPECT_NE(error.find("torn record"), std::string::npos) << error;
+  EXPECT_EQ(out.commits(), 0u);
+  EXPECT_FALSE(append_trial_flight_file(out, 0, 1,
+                                        temp_path("flight_missing_zzz.bin")));
+  EXPECT_EQ(out.commits(), 0u);
+  std::remove(full_path.c_str());
+  std::remove(torn_path.c_str());
 }
 
 TEST(FlightAuditTest, MissingFooterIsToleratedAsTruncated) {

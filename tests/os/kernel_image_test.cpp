@@ -102,7 +102,7 @@ TEST(KernelImage, BenignAccessorsReflectImageBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// PR-10 fused shard sharing (sim/shard.h): inside a ShardContext every
+// Worker-shared state (sim/shard.h): inside a ShardContext every
 // Scenario references ONE immutable default kernel image, and that shared
 // replica must be indistinguishable from the per-trial image it replaces
 // — same bytes, same whole-image digests under every hash kind.
@@ -114,7 +114,7 @@ TEST(KernelImage, ShardSharedImageHasUnchangedBytesAndDigests) {
   sim::ShardContext::Scope scope(shard);
   scenario::Scenario a;
   scenario::Scenario b;
-  // One replica per shard, not one per trial.
+  // One replica per context, not one per trial.
   EXPECT_EQ(&a.kernel(), &b.kernel());
   EXPECT_NE(&a.kernel(), &fresh);
   EXPECT_EQ(shard.get<const KernelImage>("kernel-image/default").get(),
@@ -140,7 +140,7 @@ TEST(KernelImage, ScenariosOutsideAShardBuildPrivateImages) {
   EXPECT_EQ(a.kernel().bytes(), b.kernel().bytes());
 }
 
-// The shard's pristine digest base memoizes the streaming chunk-hash
+// The worker's pristine digest base memoizes the streaming chunk-hash
 // chain over the shared image. Serving from it must be bit-for-bit what
 // hashing the bytes produces: digest == hash_bytes over the area, every
 // state_out == hash_resume(state_in, chunk), states chained end to end.
